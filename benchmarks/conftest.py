@@ -1,10 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the paper benchmarks.
 
-Each benchmark regenerates one of the paper's artifacts (see
-DESIGN.md's per-experiment index E1-E12).  Benchmarks double as
-correctness checks: every timed operation asserts the paper's claim on
-its result, so ``pytest benchmarks/ --benchmark-only`` re-establishes
-the paper while measuring it.
+Each of ``test_e01``-``test_e14`` regenerates one of the paper's
+artifacts.  Benchmarks double as correctness checks: every timed
+operation asserts the paper's claim on its result, so
+``pytest benchmarks/ --benchmark-only`` re-establishes the paper while
+measuring it.
 """
 
 from __future__ import annotations
@@ -17,9 +17,3 @@ import pytest
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(19841982)
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "artifact(name): which paper artifact a bench regenerates"
-    )

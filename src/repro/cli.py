@@ -13,7 +13,6 @@ Usage (after ``pip install -e .``)::
     python -m repro shell   bundle.json       # interactive lifecycle REPL
     python -m repro keys    bundle.json       # candidate keys per relation
     python -m repro summary bundle.json       # structural profile
-    python -m repro bench   --out BENCH_e22.json --trajectory BENCH_trajectory.json
     python -m repro serve   --port 8765 --tenant app=bundle.json
     python -m repro call    /tenants/app/implies '{"target": "MGR[NAME] <= PERSON[NAME]"}'
     python -m repro top     --port 8765       # live /metrics table
@@ -320,81 +319,6 @@ def _cmd_shell(args: argparse.Namespace) -> int:
                 break
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the recorded benchmark workloads; optionally gate on a baseline."""
-    from repro import bench
-
-    if args.list:
-        for name in sorted(bench.WORKLOADS):
-            print(name)
-        return 0
-    names = list(args.workload or [])
-    for group in args.workloads or []:
-        names.extend(
-            name.strip() for name in group.split(",") if name.strip()
-        )
-    try:
-        report = bench.run_benchmarks(
-            names=names or None, repeats=args.repeats
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # With --json, stdout carries exactly one JSON document; the
-    # progress/verdict chatter moves to stderr so pipelines can parse.
-    def info(message: str) -> None:
-        print(message, file=sys.stderr if args.json else sys.stdout)
-
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(bench.format_report(report))
-    if args.out:
-        bench.write_report(report, args.out)
-        info(f"report written to {args.out}")
-    # Resolve the baseline BEFORE appending to the trajectory: CI points
-    # both flags at the same file, and appending first would make the
-    # gate compare the current run against itself (always passing).
-    baseline = None
-    if args.baseline:
-        baseline = bench.baseline_from(bench.load_report(args.baseline))
-    if args.trajectory:
-        entries = bench.append_trajectory(report, args.trajectory)
-        info(f"trajectory {args.trajectory} now has {len(entries)} run(s)")
-    if baseline is not None:
-        regressions = bench.compare_reports(
-            report, baseline, threshold=args.threshold
-        )
-        if regressions:
-            # Without --blocking every regression blocks (exit 1); with
-            # it, only the named workloads do — the rest are warnings
-            # (the CI gate blocks on the decision workloads and keeps
-            # the noise-prone chase advisory).
-            blocking = set(args.blocking or [])
-            hard = [
-                r for r in regressions
-                if not blocking or r.workload in blocking
-            ]
-            print(
-                f"\n{len(regressions)} workload(s) regressed more than "
-                f"{args.threshold:.0%} against {args.baseline}:",
-                file=sys.stderr,
-            )
-            for regression in regressions:
-                advisory = (
-                    "" if not blocking or regression.workload in blocking
-                    else "  [advisory]"
-                )
-                print(f"  {regression}{advisory}", file=sys.stderr)
-            if hard:
-                return 1
-            info("only advisory workloads regressed; gate passes")
-        else:
-            info(f"no workload regressed more than {args.threshold:.0%} "
-                 f"against {args.baseline}")
     return 0
 
 
@@ -730,53 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_shell.add_argument("bundle")
     p_shell.set_defaults(func=_cmd_shell)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the recorded benchmark workloads (BENCH_*.json trajectory)",
-    )
-    p_bench.add_argument(
-        "--out", metavar="REPORT_JSON",
-        help="write the report JSON here (e.g. BENCH_e21.json)",
-    )
-    p_bench.add_argument(
-        "--workload", action="append", metavar="NAME",
-        help="run only this workload (repeatable; default: all)",
-    )
-    p_bench.add_argument(
-        "--workloads", action="append", metavar="NAME[,NAME...]",
-        help="comma-separated workload filter (merged with --workload; "
-             "gate semantics unchanged)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=15,
-        help="timed repetitions per workload; the best is recorded",
-    )
-    p_bench.add_argument(
-        "--baseline", metavar="BASELINE_JSON",
-        help="compare against this report or trajectory (its last entry); "
-             "exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="relative slowdown tolerated against the baseline (default 0.25)",
-    )
-    p_bench.add_argument(
-        "--trajectory", metavar="TRAJECTORY_JSON",
-        help="append this run (with the current commit) to a trajectory file",
-    )
-    p_bench.add_argument(
-        "--blocking", action="append", metavar="NAME",
-        help="with --baseline: only these workloads' regressions exit 1, "
-             "others are advisory (repeatable; default: all block)",
-    )
-    p_bench.add_argument(
-        "--list", action="store_true", help="list workload names and exit"
-    )
-    p_bench.add_argument(
-        "--json", action="store_true", help="print the report JSON to stdout"
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_serve = sub.add_parser(
         "serve",

@@ -18,7 +18,7 @@ turns pathological blow-ups into a clean exception.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from repro.exceptions import DependencyError, SearchBudgetExceeded
@@ -391,131 +391,31 @@ def decide_ind_naive(
     )
 
 
-ParentEntry = tuple[Expression, INDKernel, tuple[int, ...]]
-"""Predecessor-map entry: (previous expression, kernel, positions).
-
-The :class:`ChainLink` for an edge is only materialized when a witness
-chain is extracted through it, never during the search itself.
-"""
-
-
-@dataclass
-class Exploration:
-    """A cached exhaustive BFS: the reachable set plus its provenance.
-
-    ``footprint`` is the set of relation names whose premise bucket the
-    BFS consulted — the relation of every expanded expression.  A
-    premise mutation can only change this exploration's result if the
-    mutated IND's *left* relation is in the footprint: an IND whose
-    left relation was never expanded can neither have contributed an
-    edge nor contribute a new one.  ``ReasoningSession`` uses this for
-    scoped invalidation of its reachability cache.
-    """
-
-    start: Expression
-    visited: set[Expression]
-    parents: dict[Expression, ParentEntry]
-    footprint: frozenset[str]
-    frontier_peak: int = 0
-
-    def decide(self, target: IND) -> DecisionResult:
-        """Answer one question whose left expression is ``start``."""
-        return decision_from_exploration(
-            target, self.visited, self.parents,
-            frontier_peak=self.frontier_peak,
-        )
-
-
-def explore_expressions(
-    start: Expression,
-    premises: Premises,
-    max_nodes: int = 2_000_000,
-) -> Exploration:
-    """Exhaustive BFS from ``start``: the full reachable set ``Z`` plus
-    a predecessor map for witness-chain extraction and the
-    premise-bucket footprint the search consulted.
-
-    Unlike :func:`decide_ind` this never stops early, so the result can
-    be cached and answers *every* implication question whose target has
-    left expression ``start`` (``ReasoningSession.implies_all`` relies
-    on this to share one exploration across a batch of queries, and the
-    session's add/retract lifecycle uses ``footprint`` to keep cached
-    explorations alive across mutations that cannot affect them).
-    """
-    kernels = _as_kernels(premises)
-    start = intern_expression(start)
-    parents: dict[Expression, ParentEntry] = {}
-    visited: set[Expression] = {start}
-    queue: deque[Expression] = deque([start])
-    buckets = kernels.buckets
-    frontier_peak = 1
-    while queue:
-        if len(queue) > frontier_peak:
-            frontier_peak = len(queue)
-        current = queue.popleft()
-        if len(visited) > max_nodes:
-            raise SearchBudgetExceeded(
-                f"expression closure exceeded {max_nodes} nodes",
-                explored=len(visited),
-            )
-        relation, attrs = current
-        for kernel in buckets.get(relation, ()):
-            entry = kernel.successor_of(attrs)
-            if entry is None:
-                continue
-            nxt = entry[0]
-            if nxt not in visited:
-                visited.add(nxt)
-                parents[nxt] = (current, kernel, entry[1])
-                queue.append(nxt)
-    footprint = frozenset(relation for relation, _attrs in visited)
-    return Exploration(start, visited, parents, footprint, frontier_peak)
-
-
-def decision_from_exploration(
-    target: IND,
-    visited: set[Expression],
-    parents: Mapping[Expression, ParentEntry],
-    frontier_peak: int = 0,
-) -> DecisionResult:
-    """Answer one implication question from a cached exploration.
-
-    ``visited``/``parents`` must come from :func:`explore_expressions`
-    started at the target's left expression; ``frontier_peak`` is that
-    exploration's peak, threaded through so cached answers report the
-    same stats shape as fresh ones.
-    """
-    start = expression_of_lhs(target)
-    goal = expression_of_rhs(target)
-    if start == goal:
-        return DecisionResult(
-            implied=True, target=target, chain=[start], links=[],
-            explored=len(visited), frontier_peak=frontier_peak,
-        )
-    if goal not in visited:
-        return DecisionResult(
-            implied=False, target=target, explored=len(visited),
-            frontier_peak=frontier_peak,
-        )
-    chain, links = _extract_chain(start, goal, parents)
-    return DecisionResult(
-        implied=True,
-        target=target,
-        chain=chain,
-        links=links,
-        explored=len(visited),
-        frontier_peak=frontier_peak,
-    )
-
-
 def reachable_expressions(
     start: Expression,
     premises: Premises,
     max_nodes: int = 2_000_000,
 ) -> set[Expression]:
-    """The full set ``Z`` of the paper's procedure (all reachable
-    expressions from ``start``), for analysis and benchmarks."""
-    return explore_expressions(start, premises, max_nodes=max_nodes).visited
+    """The full set ``Z`` of the paper's procedure: every expression
+    reachable from ``start``, by an exhaustive BFS over the kernel
+    buckets (for analysis and benchmarks)."""
+    buckets = _as_kernels(premises).buckets
+    start = intern_expression(start)
+    visited: set[Expression] = {start}
+    queue: deque[Expression] = deque([start])
+    while queue:
+        if len(visited) > max_nodes:
+            raise SearchBudgetExceeded(
+                f"expression closure exceeded {max_nodes} nodes",
+                explored=len(visited),
+            )
+        relation, attrs = queue.popleft()
+        for kernel in buckets.get(relation, ()):
+            entry = kernel.successor_of(attrs)
+            if entry is not None and entry[0] not in visited:
+                visited.add(entry[0])
+                queue.append(entry[0])
+    return visited
 
 
 def chain_is_valid(target: IND, chain: list[Expression], links: list[ChainLink]) -> bool:

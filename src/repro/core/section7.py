@@ -45,7 +45,8 @@ The OCR of the paper's figures is partly illegible, so Figures 7.2 and
 7.3 are *reconstructed* to the lemmas' exact specifications and then
 verified against those specifications over the fully enumerated
 dependency universe; the verification, not the tuple-level layout, is
-what the lemmas require.  (Documented in DESIGN.md / EXPERIMENTS.md.)
+what the lemmas require.  (``tests/core/test_section7.py`` and
+``benchmarks/test_e11_section7.py`` run that verification.)
 """
 
 from __future__ import annotations

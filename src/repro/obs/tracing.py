@@ -7,8 +7,8 @@ the layers that do work on the request's behalf: protocol parse, the
 coalescer (which records which trace *paid* for a shared decide),
 ``Tenant.mutate``, the WAL append/fsync, and per-follower replication
 shipping.  Every instrumented site guards with ``if trace is not
-None`` so un-traced paths — the bench harness drives the coalescer
-directly — pay nothing.
+None`` so un-traced callers — WAL recovery, replication apply, and
+code that drives the coalescer directly — pay nothing.
 
 Spans are flat ``(name, offset, duration, meta)`` records relative to
 the trace's start; :meth:`Trace.to_json` renders the waterfall the

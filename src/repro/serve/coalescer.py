@@ -24,7 +24,7 @@ verdicts, versions, and witness chains sequential per-call execution
 would produce (pinned by the hypothesis property suite).
 
 The coalescer is deliberately transport-free: the HTTP server drives
-it from request handlers, the benchmark harness from simulated client
+it from request handlers, the speed-up floors from simulated client
 tasks, and the property tests from scripted interleavings.
 """
 

@@ -40,7 +40,9 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    414: "URI Too Long",
     421: "Misdirected Request",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -123,11 +125,17 @@ async def read_request(
     request *line* has arrived — before headers and body are read —
     which is how the server marks a connection busy early enough that
     graceful shutdown drains a request whose body is still in flight.
+
+    A line longer than the stream's limit makes ``readline()`` raise
+    ``ValueError``; that becomes a 414 for the request line and a 431
+    for a header line.
     """
     try:
         line = await reader.readline()
-    except (ConnectionResetError, asyncio.LimitOverrunError):
+    except ConnectionResetError:
         return None
+    except ValueError:
+        raise ServeError(414, "request line too long")
     if not line:
         return None
     if on_started is not None:
@@ -141,7 +149,10 @@ async def read_request(
     query = dict(parse_qsl(query_string)) if query_string else {}
     headers: dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            raise ServeError(431, "header line too long")
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
@@ -154,6 +165,8 @@ async def read_request(
     try:
         length = int(length_text)
     except ValueError:
+        length = -1
+    if length < 0:
         raise ProtocolError(f"bad Content-Length: {length_text!r}")
     if length > MAX_BODY_BYTES:
         raise ServeError(413, f"request body over {MAX_BODY_BYTES} bytes")

@@ -562,7 +562,7 @@ class ReasoningServer:
             writer.close()
 
     async def _safe_dispatch(
-        self, request: Request, trace: Optional[Trace] = None
+        self, request: Request, trace: Trace
     ) -> tuple[int, dict[str, Any]]:
         try:
             delay = self.faults.latency_seconds()
@@ -590,7 +590,7 @@ class ReasoningServer:
     # -- routing -----------------------------------------------------------
 
     async def _dispatch(
-        self, request: Request, trace: Optional[Trace] = None
+        self, request: Request, trace: Trace
     ) -> dict[str, Any]:
         method = request.method
         parts = [part for part in request.path.split("/") if part]
@@ -737,7 +737,7 @@ class ReasoningServer:
         method: str,
         parts: list[str],
         request: Request,
-        trace: Optional[Trace] = None,
+        trace: Trace,
     ) -> dict[str, Any]:
         if not parts:
             if method == "GET":
@@ -813,7 +813,7 @@ class ReasoningServer:
         tenant: Tenant,
         op: str,
         body: dict[str, Any],
-        trace: Optional[Trace] = None,
+        trace: Trace,
     ) -> dict[str, Any]:
         started = time.perf_counter()
         try:
@@ -830,7 +830,7 @@ class ReasoningServer:
         tenant: Tenant,
         op: str,
         body: dict[str, Any],
-        trace: Optional[Trace],
+        trace: Trace,
     ) -> dict[str, Any]:
         if op in ("implies", "implies_all", "whatif", "check"):
             self._check_lag(tenant, body)
@@ -878,11 +878,10 @@ class ReasoningServer:
                 op, _string_list(body, "dependencies"), key=_key_of(body),
                 trace=trace,
             )
-            if trace is not None:
-                trace.add_span(
-                    "mutate", time.perf_counter() - mutate_start,
-                    offset=mutate_start - trace.t0, op=op,
-                )
+            trace.add_span(
+                "mutate", time.perf_counter() - mutate_start,
+                offset=mutate_start - trace.t0, op=op,
+            )
             # Forward before acknowledging: a keyed replay forwards
             # nothing (its record already shipped the first time).
             if (
@@ -895,20 +894,13 @@ class ReasoningServer:
                 )
             return result
         if op == "whatif":
-            if trace is not None:
-                with trace.span("whatif"):
-                    return await tenant.whatif_async(
-                        _string_list(body, "targets"),
-                        add=_string_list(body, "add"),
-                        retract=_string_list(body, "retract"),
-                        semantics=_semantics_of(body),
-                    )
-            return await tenant.whatif_async(
-                _string_list(body, "targets"),
-                add=_string_list(body, "add"),
-                retract=_string_list(body, "retract"),
-                semantics=_semantics_of(body),
-            )
+            with trace.span("whatif"):
+                return await tenant.whatif_async(
+                    _string_list(body, "targets"),
+                    add=_string_list(body, "add"),
+                    retract=_string_list(body, "retract"),
+                    semantics=_semantics_of(body),
+                )
         if op == "check":
             tenant.coalescer.barrier()
             if tenant.session.db is None:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.ind_decision import (
     chain_is_valid,
     decide_ind,
-    explore_expressions,
+    reachable_expressions,
 )
 from repro.core.ind_kernel import KernelIndex
 from repro.core.reach_index import ReachIndex
@@ -78,8 +78,8 @@ class TestDecide:
         premises = chain_premises()
         reach, kernels = build(premises)
         miss = IND("R2", ("A",), "R0", ("A",))
-        exploration = explore_expressions(("R2", ("A",)), kernels)
-        assert reach.decide(miss).explored == len(exploration.visited)
+        closure = reachable_expressions(("R2", ("A",)), kernels)
+        assert reach.decide(miss).explored == len(closure)
 
     def test_trivial_target_answers_without_compiling(self):
         reach, _ = build(chain_premises())

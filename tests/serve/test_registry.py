@@ -214,3 +214,44 @@ class TestDurableLifecycle:
         # the on-disk state is gone with it.
         assert wal_path not in open_fd_targets()
         assert not os.path.exists(wal_path)
+
+    def test_recovered_state_is_verdict_equivalent(
+        self, tmp_path, schema, premises
+    ):
+        probes = ["MGR[NAME] <= PERSON[NAME]", "PERSON[NAME] <= MGR[NAME]"]
+        registry = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        tenant = registry.create("app", schema, premises)
+        tenant.mutate("retract", [str(premises[0])])
+        tenant.mutate("add", [str(premises[0])])
+        expected_hash = tenant.session.premise_hash
+        expected = [a.verdict for a in tenant.session.implies_all(probes)]
+        registry.close()  # crash-like: file handles only, no checkpoint
+
+        rebooted = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        try:
+            assert rebooted.recovered_tenants == 1
+            assert rebooted.replayed_records == 2
+            session = rebooted.get("app").session
+            assert session.premise_hash == expected_hash
+            assert [a.verdict for a in session.implies_all(probes)] == expected
+        finally:
+            rebooted.close()
+
+    def test_keyed_retry_replays_exactly_once_across_reboot(
+        self, tmp_path, schema, premises
+    ):
+        registry = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        tenant = registry.create("app", schema, premises)
+        first = tenant.mutate("retract", [str(premises[0])], key="req-1")
+        registry.close()
+
+        rebooted = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        try:
+            tenant = rebooted.get("app")
+            replay = tenant.mutate("retract", [str(premises[0])], key="req-1")
+            assert replay["idempotent_replay"] is True
+            assert replay["seq"] == first["seq"]
+            assert tenant.session.version == first["version"]
+            assert tenant.replayed_mutations == 1
+        finally:
+            rebooted.close()

@@ -337,6 +337,33 @@ class TestProtocolLimits:
             assert b"200" in header.split(b"\r\n")[0]
             assert json.loads(body)["ok"] is True
 
+    @pytest.mark.parametrize(
+        "raw, status_line",
+        [
+            (b"POST /tenants HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+             b"HTTP/1.1 400 Bad Request"),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+             b"HTTP/1.1 414 URI Too Long"),
+            (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+             + b"\r\n\r\n",
+             b"HTTP/1.1 431 Request Header Fields Too Large"),
+        ],
+        ids=["negative-content-length", "long-request-line",
+             "long-header-line"],
+    )
+    def test_unreadable_request_gets_a_status_line(
+        self, server, raw, status_line
+    ):
+        # Each of these used to close the socket with no response.
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(raw)
+            header, body = _recv_response(sock)
+            assert header.split(b"\r\n")[0] == status_line
+            assert b"Connection: close" in header
+            assert json.loads(body)["status"] == int(status_line.split()[1])
+
 
 class TestBackgroundServerStop:
     def test_stop_joins_cleanly(self):

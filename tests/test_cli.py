@@ -357,80 +357,6 @@ class TestKeysAndSummary:
         assert main(["summary", "/nonexistent/bundle.json"]) == 2
 
 
-class TestBench:
-    def test_list_workloads(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "single_decide" in out
-        assert "chase_fixpoint" in out
-
-    def test_single_workload_writes_report(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_test.json"
-        assert main([
-            "bench", "--workload", "single_decide",
-            "--repeats", "2", "--out", str(out_path),
-        ]) == 0
-        report = json.loads(out_path.read_text())
-        assert "single_decide" in report["workloads"]
-        assert capsys.readouterr().out.count("single_decide") == 1
-
-    def test_baseline_gate(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_current.json"
-        assert main([
-            "bench", "--workload", "single_decide",
-            "--repeats", "2", "--out", str(out_path),
-        ]) == 0
-        # Comparing against itself with a huge tolerance passes...
-        assert main([
-            "bench", "--workload", "single_decide", "--repeats", "2",
-            "--baseline", str(out_path), "--threshold", "50",
-        ]) == 0
-        # ...and an impossible baseline fails the gate.
-        strict = json.loads(out_path.read_text())
-        strict["workloads"]["single_decide"]["seconds"] = 1e-12
-        strict_path = tmp_path / "BENCH_strict.json"
-        strict_path.write_text(json.dumps(strict))
-        capsys.readouterr()
-        assert main([
-            "bench", "--workload", "single_decide", "--repeats", "2",
-            "--baseline", str(strict_path),
-        ]) == 1
-        assert "regressed" in capsys.readouterr().err
-
-    def test_unknown_workload(self, capsys):
-        assert main(["bench", "--workload", "nope", "--repeats", "1"]) == 2
-        assert "unknown workload" in capsys.readouterr().err
-
-    def test_workloads_filter_comma_separated(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_filtered.json"
-        assert main([
-            "bench", "--workloads", "single_decide,batch_implies_all",
-            "--repeats", "2", "--out", str(out_path),
-        ]) == 0
-        report = json.loads(out_path.read_text())
-        assert set(report["workloads"]) == {
-            "single_decide", "batch_implies_all"
-        }
-
-    def test_workloads_merges_with_workload(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_merged.json"
-        assert main([
-            "bench", "--workload", "single_decide",
-            "--workloads", "batch_implies_all",
-            "--repeats", "2", "--out", str(out_path),
-        ]) == 0
-        report = json.loads(out_path.read_text())
-        assert set(report["workloads"]) == {
-            "single_decide", "batch_implies_all"
-        }
-
-    def test_workloads_unknown_name_rejected(self, capsys):
-        assert main([
-            "bench", "--workloads", "single_decide,nope", "--repeats", "1",
-        ]) == 2
-        assert "unknown workload" in capsys.readouterr().err
-
-
 class TestServeAndCall:
     @pytest.fixture
     def served(self, bundle_path):
