@@ -329,6 +329,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         FaultInjector,
         ReasoningServer,
+        ServeError,
         StateDir,
         TenantRegistry,
         serve_main,
@@ -372,7 +373,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             continue  # already recovered from --state-dir
         with open(path, encoding="utf-8") as fp:
             schema, dependencies, db = bundle_from_json(fp.read())
-        registry.create(name, schema, dependencies, db=db)
+        try:
+            registry.create(name, schema, dependencies, db=db)
+        except ServeError as exc:
+            print(f"error: --tenant {spec!r}: {exc}", file=sys.stderr)
+            return 2
     try:
         server = ReasoningServer(
             registry, host=args.host, port=args.port, grace=args.grace,

@@ -305,14 +305,18 @@ def load_patch(
     return patch_from_json(fp.read(), schema)
 
 
-def apply_patch(session: ReasoningSession, text: str) -> int:
+def apply_patch(session: ReasoningSession, patch: str | dict) -> int:
     """Play a JSON patch into a live session; returns the new version.
 
-    Retractions are applied before additions, so a patch can replace a
-    premise in one file.  Each non-empty section is one mutation (one
-    version bump) with the session's scoped cache invalidation.
+    ``patch`` is the JSON text or its decoded object (what the serving
+    layer's write-ahead log records).  Retractions are applied before
+    additions, so a patch can replace a premise in one file.  Each
+    non-empty section is one mutation (one version bump) with the
+    session's scoped cache invalidation.
     """
-    add, retract = patch_from_json(text, session.schema)
+    if isinstance(patch, str):
+        patch = json.loads(patch)
+    add, retract = patch_from_payload(patch, session.schema)
     if retract:
         session.retract(retract)
     if add:

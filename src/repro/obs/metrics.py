@@ -192,6 +192,15 @@ def _format_value(value: int | float) -> str:
     return repr(value)
 
 
+def _escape(value: object) -> str:
+    """A label value as the 0.0.4 text format quotes it: ``\\``, ``"``
+    and newline escaped, so no value can end its series early."""
+    return (
+        str(value).replace("\\", "\\\\").replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
+
+
 def _label_str(labels: dict, extra: dict | None = None) -> str:
     merged = dict(labels)
     if extra:
@@ -199,7 +208,7 @@ def _label_str(labels: dict, extra: dict | None = None) -> str:
     if not merged:
         return ""
     inner = ",".join(
-        f'{key}="{str(val)}"' for key, val in sorted(merged.items())
+        f'{key}="{_escape(val)}"' for key, val in sorted(merged.items())
     )
     return "{" + inner + "}"
 
@@ -254,32 +263,6 @@ class MetricsRegistry:
         **labels,
     ) -> Histogram:
         return self._get(Histogram, name, help, labels, buckets=buckets)
-
-    def register(self, instrument):
-        """Adopt an already-built instrument into this registry.
-
-        Used when a component created standalone instruments before the
-        server's registry existed (e.g. a :class:`TenantRegistry` built
-        ahead of its :class:`ReasoningServer`) — the live objects keep
-        their accumulated values and become scrapeable.
-        """
-        key = (instrument.name, tuple(sorted(instrument.labels.items())))
-        existing = self._instruments.get(key)
-        if existing is instrument:
-            return instrument
-        if existing is not None:
-            raise ValueError(
-                f"metric {instrument.name!r} already registered"
-            )
-        family = self._families.get(instrument.name)
-        if family is not None and family is not type(instrument):
-            raise ValueError(
-                f"metric family {instrument.name!r} already registered as "
-                f"{_TYPES[family]}"
-            )
-        self._instruments[key] = instrument
-        self._families[instrument.name] = type(instrument)
-        return instrument
 
     def register_collector(self, collector: Callable[[], None]) -> None:
         self._collectors.append(collector)

@@ -23,6 +23,7 @@ dependency set cost one compilation, not N.
 from __future__ import annotations
 
 import asyncio
+import re
 from collections import OrderedDict
 from typing import Any, Iterable, Optional
 
@@ -30,16 +31,16 @@ from repro.deps.base import Dependency
 from repro.engine.answer import Semantics
 from repro.engine.session import ReasoningSession
 from repro.io import (
+    apply_patch,
     bundle_from_payload,
     database_to_dict,
-    patch_from_payload,
     schema_to_dict,
 )
 from repro.model.database import Database
 from repro.model.schema import DatabaseSchema
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Trace
-from repro.serve.coalescer import Coalescer
+from repro.serve.coalescer import _BATCH_SIZE_BUCKETS, Coalescer
 from repro.serve.protocol import ServeError
 from repro.serve.wal import (
     DEFAULT_SNAPSHOT_EVERY,
@@ -52,6 +53,44 @@ DEFAULT_LRU_CAPACITY = 32
 
 SESSION_OPTION_KEYS = ("max_nodes", "max_rounds", "max_tuples")
 """The engine budgets a tenant-create request may override."""
+
+TENANT_NAME = re.compile(r"[A-Za-z0-9._~-]+")
+"""Names a tenant may be created under: URL path characters that need
+no percent-encoding, since the server routes on the raw request path."""
+
+TENANT_GAUGES = {
+    "repro_engine_queries": "queries",
+    "repro_engine_reach_cache_hits": "reach_cache_hits",
+    "repro_engine_reach_fallbacks": "reach_fallbacks",
+    "repro_engine_degraded_answers": "degraded_answers",
+    "repro_reach_compiles": "reach_compiles",
+    "repro_reach_compile_seconds": "reach_compile_seconds",
+    "repro_reach_extensions": "reach_extensions",
+    "repro_reach_invalidations": "reach_invalidations",
+    "repro_fd_closure_hits": "closure_hits",
+    "repro_fd_closure_misses": "closure_misses",
+    "repro_fd_kernels_compiled": "fd_kernels_compiled",
+    "repro_chase_runs": "chase_runs",
+    "repro_chase_rounds": "chase_rounds",
+    "repro_chase_rows_scanned": "chase_rows_scanned",
+    "repro_coalescer_requests": "coalescer.requests",
+    "repro_coalescer_batches": "coalescer.batches",
+    "repro_coalescer_unique_decides": "coalescer.unique_decides",
+    "repro_coalescer_deduplicated": "coalescer.deduplicated",
+    "repro_coalescer_degraded": "coalescer.degraded",
+    "repro_wal_appends": "wal.appends",
+    "repro_wal_snapshots": "wal.snapshots",
+    "repro_replayed_mutations": "replayed_mutations",
+}
+"""Scrape-time gauges: each sums one ``Tenant.stats()`` entry (a dotted
+key path; a missing entry counts 0) over every tenant."""
+
+
+def _stat(stats: dict[str, Any], path: str) -> Any:
+    *outer, key = path.split(".")
+    for part in outer:
+        stats = stats.get(part, {})
+    return stats.get(key, 0)
 
 
 def session_options_of(payload: Any) -> dict[str, int]:
@@ -93,37 +132,48 @@ def bundle_payload_of(session: ReasoningSession) -> dict[str, Any]:
     return payload
 
 
+def _rebuild(
+    source: str, payload: dict[str, Any]
+) -> tuple[ReasoningSession, dict[str, int]]:
+    """Rebuild the session a snapshot or bootstrap ``payload`` carries.
+
+    Returns it with its budget options.  Raises :class:`WalCorruption`
+    when the bundle fails to load or the rebuilt session's hash differs
+    from the payload's ``premise_hash`` — state that cannot be proven
+    to be what it claims is never served.
+    """
+    try:
+        schema, dependencies, db = bundle_from_payload(
+            payload.get("bundle") or {}
+        )
+    except Exception as exc:
+        raise WalCorruption(f"{source} bundle failed to load: {exc}")
+    options = session_options_of(payload.get("options") or None)
+    session = ReasoningSession(schema, dependencies, db=db, **options)
+    expected = payload.get("premise_hash")
+    if expected and session.premise_hash != expected:
+        raise WalCorruption(
+            f"{source} premise_hash {expected} does not match the "
+            f"rebuilt session ({session.premise_hash}); refusing to load it"
+        )
+    return session, options
+
+
 class ArtifactCache:
     """LRU of donor sessions keyed by structural premise hash.
 
-    The hit/miss/eviction/drift counters are :class:`repro.obs.metrics.
-    Counter` instruments — registered as ``repro_artifact_cache_*``
-    when a :class:`~repro.obs.metrics.MetricsRegistry` is supplied (the
-    server's), standalone otherwise — and :meth:`stats` reads their
-    values back, so the ``/stats`` JSON shape is unchanged.
+    The hit/miss/eviction/drift totals are plain counts; the owning
+    :class:`TenantRegistry` exports them as the
+    ``repro_artifact_cache_*_total`` counters when ``/metrics`` is
+    scraped.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_LRU_CAPACITY,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_LRU_CAPACITY):
         if capacity < 1:
             raise ValueError(f"LRU capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._donors: "OrderedDict[str, ReasoningSession]" = OrderedDict()
-
-        def counter(event: str) -> Counter:
-            name = f"repro_artifact_cache_{event}_total"
-            help_text = f"Artifact LRU {event}"
-            if metrics is not None:
-                return metrics.counter(name, help_text)
-            return Counter(name, help_text)
-
-        self.hits = counter("hits")
-        self.misses = counter("misses")
-        self.evictions = counter("evictions")
-        self.drifted = counter("drifted")
+        self.hits = self.misses = self.evictions = self.drifted = 0
 
     def adopt_into(self, session: ReasoningSession) -> bool:
         """Share a cached donor's compiled artifacts into ``session``.
@@ -137,19 +187,19 @@ class ArtifactCache:
         donor = self._donors.get(key)
         if donor is not None and donor.premise_hash != key:
             del self._donors[key]
-            self.drifted.inc()
+            self.drifted += 1
             donor = None
         if donor is not None:
             self._donors.move_to_end(key)
             session.adopt_compiled_from(donor)
-            self.hits.inc()
+            self.hits += 1
             return True
         self._donors[key] = session
         self._donors.move_to_end(key)
         if len(self._donors) > self.capacity:
             self._donors.popitem(last=False)
-            self.evictions.inc()
-        self.misses.inc()
+            self.evictions += 1
+        self.misses += 1
         return False
 
     def __len__(self) -> int:
@@ -159,10 +209,10 @@ class ArtifactCache:
         return {
             "capacity": self.capacity,
             "entries": len(self._donors),
-            "hits": self.hits.value,
-            "misses": self.misses.value,
-            "evictions": self.evictions.value,
-            "drifted": self.drifted.value,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "drifted": self.drifted,
         }
 
 
@@ -188,32 +238,12 @@ class Tenant:
         options: Optional[dict[str, int]] = None,
         term: int = 0,
         replicating: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
         self.session = session
-        batch_sizes = None
-        if metrics is not None:
-            # One server-wide batch-size histogram shared by every
-            # tenant's coalescer (a per-tenant family would multiply
-            # exposition size without changing the signal).
-            from repro.serve.coalescer import _BATCH_SIZE_BUCKETS
-
-            batch_sizes = metrics.histogram(
-                "repro_coalescer_batch_size",
-                "Requests per coalescer flush",
-                buckets=_BATCH_SIZE_BUCKETS,
-            )
-        self.coalescer = Coalescer(
-            session, degrade=True, batch_sizes=batch_sizes
-        )
+        self.coalescer = Coalescer(session, degrade=True)
         self.shared_artifacts = shared_artifacts
         self.store = store
-        if store is not None and metrics is not None:
-            store.on_fsync = metrics.histogram(
-                "repro_wal_fsync_seconds",
-                "WAL record write+fsync latency",
-            ).observe
         self.snapshot_every = snapshot_every
         self.options = dict(options or {})
         self.applied: dict[str, dict[str, Any]] = (
@@ -315,13 +345,7 @@ class Tenant:
                 f"not follow applied seq {self.replicated_seq}",
             )
         self.coalescer.barrier()
-        add, retract = patch_from_payload(
-            record.get("patch") or {}, self.session.schema
-        )
-        if retract:
-            self.session.retract(retract)
-        if add:
-            self.session.add(add)
+        apply_patch(self.session, record.get("patch") or {})
         if self.store is not None:
             self.store.append_replicated(record)
             if self.store.appends_since_snapshot >= self.snapshot_every:
@@ -416,6 +440,12 @@ class Tenant:
 class TenantRegistry:
     """Every named tenant the server knows, plus the artifact LRU.
 
+    The registry owns the process's :class:`~repro.obs.metrics.
+    MetricsRegistry` (a server scrapes it as ``/metrics``) and builds
+    every tenant in one place, :meth:`_install`, which hands each
+    tenant's coalescer and WAL the shared batch-size and fsync
+    histograms.
+
     With a :class:`~repro.serve.wal.StateDir` the registry is durable:
     tenants persisted in an earlier process are recovered in
     ``__init__`` (snapshot bundle reloaded, ``premise_hash`` verified,
@@ -426,18 +456,48 @@ class TenantRegistry:
         self,
         artifact_capacity: int = DEFAULT_LRU_CAPACITY,
         state_dir: Optional[StateDir] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.tenants: dict[str, Tenant] = {}
-        self.metrics = metrics
-        self.artifacts = ArtifactCache(artifact_capacity, metrics=metrics)
+        self.artifacts = ArtifactCache(artifact_capacity)
         self.state_dir = state_dir
         self.recovered_tenants = 0
         self.replayed_records = 0
         self.term = state_dir.load_term() if state_dir is not None else 0
         self.replicating = False
+        metrics = self.metrics = MetricsRegistry()
+        # One batch-size and one fsync histogram shared by every tenant
+        # (a per-tenant family would multiply exposition size without
+        # changing the signal).
+        self.batch_sizes = metrics.histogram(
+            "repro_coalescer_batch_size",
+            "Requests per coalescer flush",
+            buckets=_BATCH_SIZE_BUCKETS,
+        )
+        self.fsync_seconds = metrics.histogram(
+            "repro_wal_fsync_seconds", "WAL record write+fsync latency"
+        )
+        metrics.register_collector(self._collect_metrics)
         if state_dir is not None:
             self._recover()
+
+    def _collect_metrics(self) -> None:
+        """Scrape-time series over the live tenants and the LRU.
+
+        The engine's counters (reach compiles, chase rounds, FD memo
+        hits, ...) are ints it already maintains; nothing new is paid
+        per query, and the sums below run only when ``/metrics`` is
+        actually scraped.
+        """
+        metrics = self.metrics
+        metrics.gauge("repro_tenants", "Live tenants").set(len(self.tenants))
+        stats = [tenant.stats() for tenant in self.tenants.values()]
+        for name, path in TENANT_GAUGES.items():
+            metrics.gauge(name).set(sum(_stat(each, path) for each in stats))
+        cache = self.artifacts.stats()
+        for event in ("hits", "misses", "evictions", "drifted"):
+            metrics.counter(
+                f"repro_artifact_cache_{event}_total", f"Artifact LRU {event}"
+            ).value = cache[event]
 
     def set_term(self, term: int) -> None:
         """Adopt a (higher) node term, persisting it before it is used.
@@ -466,6 +526,59 @@ class TenantRegistry:
         for tenant in self.tenants.values():
             tenant.replicating = replicating
 
+    def _install(
+        self,
+        name: str,
+        session: ReasoningSession,
+        options: dict[str, int],
+        store: Optional[TenantStore] = None,
+        seq: int = 0,
+        term: int = 0,
+        applied: Optional[dict[str, dict[str, Any]]] = None,
+    ) -> Tenant:
+        """Register ``session`` as tenant ``name`` — the one place a
+        :class:`Tenant` is built.
+
+        Shares cached compiled artifacts, opens a fresh store at
+        ``seq``/``term`` with the ``applied`` key map when durable and
+        no recovered ``store`` is passed, and wires the tenant into the
+        shared histograms.
+        """
+        shared = self.artifacts.adopt_into(session)
+        term = max(term, self.term)
+        if store is None and self.state_dir is not None:
+            store = self.state_dir.create_tenant(
+                name,
+                bundle_payload_of(session),
+                session.premise_hash,
+                options=options,
+                seq=seq,
+                term=term,
+                applied=applied,
+            )
+        tenant = Tenant(
+            name,
+            session,
+            shared_artifacts=shared,
+            store=store,
+            snapshot_every=(
+                self.state_dir.snapshot_every
+                if self.state_dir is not None
+                else DEFAULT_SNAPSHOT_EVERY
+            ),
+            options=options,
+            term=term,
+            replicating=self.replicating,
+        )
+        tenant.coalescer.batch_sizes = self.batch_sizes
+        if store is None:
+            tenant.replicated_seq = seq
+            tenant.applied.update(applied or {})
+        else:
+            store.on_fsync = self.fsync_seconds.observe
+        self.tenants[name] = tenant
+        return tenant
+
     def _recover(self) -> None:
         """Rebuild every persisted tenant from its snapshot + WAL tail.
 
@@ -476,55 +589,22 @@ class TenantRegistry:
         """
         for name, store, snapshot, tail in self.state_dir.recover():
             try:
-                schema, dependencies, db = bundle_from_payload(
-                    snapshot.get("bundle") or {}
+                session, options = _rebuild(
+                    f"tenant {name!r}: snapshot", snapshot
                 )
-            except Exception as exc:
+                for record in tail:
+                    try:
+                        apply_patch(session, record.get("patch"))
+                    except Exception as exc:
+                        raise WalCorruption(
+                            f"tenant {name!r}: WAL record seq "
+                            f"{record.get('seq')} failed to replay: {exc}"
+                        )
+                    self.replayed_records += 1
+            except Exception:
                 store.close()
-                raise WalCorruption(
-                    f"tenant {name!r}: snapshot bundle failed to load: {exc}"
-                )
-            options = session_options_of(snapshot.get("options") or None)
-            session = ReasoningSession(
-                schema, dependencies, db=db, **options
-            )
-            expected = snapshot.get("premise_hash")
-            if expected and session.premise_hash != expected:
-                store.close()
-                raise WalCorruption(
-                    f"tenant {name!r}: snapshot premise_hash {expected} "
-                    f"does not match the rebuilt session "
-                    f"({session.premise_hash}); refusing to replay its WAL"
-                )
-            shared = self.artifacts.adopt_into(session)
-            for record in tail:
-                try:
-                    add, retract = patch_from_payload(
-                        record.get("patch"), schema
-                    )
-                except Exception as exc:
-                    store.close()
-                    raise WalCorruption(
-                        f"tenant {name!r}: WAL record seq "
-                        f"{record.get('seq')} failed to replay: {exc}"
-                    )
-                if retract:
-                    session.retract(retract)
-                if add:
-                    session.add(add)
-                self.replayed_records += 1
-            tenant = Tenant(
-                name,
-                session,
-                shared_artifacts=shared,
-                store=store,
-                snapshot_every=self.state_dir.snapshot_every,
-                options=options,
-                term=self.term,
-                replicating=self.replicating,
-                metrics=self.metrics,
-            )
-            self.tenants[name] = tenant
+                raise
+            self._install(name, session, options, store=store)
             self.recovered_tenants += 1
 
     def create(
@@ -542,40 +622,18 @@ class TenantRegistry:
         snapshot when durable); extra ``session_options`` are trusted
         caller overrides that are *not* persisted.
         """
-        if not name:
-            raise ServeError(400, "tenant name must be non-empty")
+        if not TENANT_NAME.fullmatch(name) or name in (".", ".."):
+            raise ServeError(
+                400,
+                f"tenant name {name!r} must match [A-Za-z0-9._~-]+ and "
+                f"not be '.' or '..'",
+            )
         if name in self.tenants:
             raise ServeError(409, f"tenant {name!r} already exists")
         options = dict(options or {})
         merged = {**options, **session_options}
         session = ReasoningSession(schema, dependencies, db=db, **merged)
-        shared = self.artifacts.adopt_into(session)
-        store = None
-        if self.state_dir is not None:
-            store = self.state_dir.create_tenant(
-                name,
-                bundle_payload_of(session),
-                session.premise_hash,
-                options=options,
-                term=self.term,
-            )
-        tenant = Tenant(
-            name,
-            session,
-            shared_artifacts=shared,
-            store=store,
-            snapshot_every=(
-                self.state_dir.snapshot_every
-                if self.state_dir is not None
-                else DEFAULT_SNAPSHOT_EVERY
-            ),
-            options=options,
-            term=self.term,
-            replicating=self.replicating,
-            metrics=self.metrics,
-        )
-        self.tenants[name] = tenant
-        return tenant
+        return self._install(name, session, options)
 
     def create_from_bundle(
         self,
@@ -627,59 +685,16 @@ class TenantRegistry:
         after divergence or a truncated-away tail supersedes whatever
         the follower had).
         """
-        try:
-            schema, dependencies, db = bundle_from_payload(
-                payload.get("bundle") or {}
-            )
-        except Exception as exc:
-            raise WalCorruption(
-                f"replica {name!r}: bootstrap bundle failed to load: {exc}"
-            )
-        options = session_options_of(payload.get("options") or None)
-        session = ReasoningSession(schema, dependencies, db=db, **options)
-        expected = payload.get("premise_hash")
-        if expected and session.premise_hash != expected:
-            raise WalCorruption(
-                f"replica {name!r}: bootstrap premise_hash {expected} does "
-                f"not match the rebuilt session ({session.premise_hash}); "
-                f"refusing to serve it"
-            )
+        session, options = _rebuild(f"replica {name!r}: bootstrap", payload)
         seq = int(payload.get("seq", 0))
         term = int(payload.get("term", 0))
-        applied = payload.get("applied_keys") or {}
+        applied = dict(payload.get("applied_keys") or {})
         if name in self.tenants:
             self.drop(name)
-        shared = self.artifacts.adopt_into(session)
-        store = None
-        if self.state_dir is not None:
-            store = self.state_dir.create_tenant(
-                name,
-                bundle_payload_of(session),
-                session.premise_hash,
-                options=options,
-                seq=seq,
-                term=term,
-                applied=dict(applied),
-            )
-        tenant = Tenant(
-            name,
-            session,
-            shared_artifacts=shared,
-            store=store,
-            snapshot_every=(
-                self.state_dir.snapshot_every
-                if self.state_dir is not None
-                else DEFAULT_SNAPSHOT_EVERY
-            ),
-            options=options,
-            term=max(term, self.term),
-            replicating=True,
-            metrics=self.metrics,
+        tenant = self._install(
+            name, session, options, seq=seq, term=term, applied=applied
         )
-        tenant.replicated_seq = seq
-        if store is None and isinstance(applied, dict):
-            tenant.applied.update(applied)
-        self.tenants[name] = tenant
+        tenant.replicating = True
         return tenant
 
     def get(self, name: str) -> Tenant:

@@ -187,6 +187,10 @@ class PrimaryReplicator:
         self.forwarded_records = 0
         self.forward_failures = 0
         self.fenced_by: Optional[dict[str, Any]] = None
+        self.ship_seconds = server.metrics.histogram(
+            "repro_replication_ship_seconds",
+            "Per-follower replication forward round trip",
+        )
 
     def register(self, endpoint: str) -> FollowerHandle:
         """Adopt (or refresh) a follower; flips the node to replicating
@@ -286,12 +290,7 @@ class PrimaryReplicator:
     ) -> None:
         """One per-follower ``ship`` span plus the latency histogram."""
         elapsed = time.perf_counter() - started
-        metrics = getattr(self.server, "metrics", None)
-        if metrics is not None:
-            metrics.histogram(
-                "repro_replication_ship_seconds",
-                "Per-follower replication forward round trip",
-            ).observe(elapsed)
+        self.ship_seconds.observe(elapsed)
         if trace is not None:
             trace.add_span(
                 "ship",

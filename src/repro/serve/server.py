@@ -56,7 +56,6 @@ from typing import Any, Optional
 from repro.engine.answer import Semantics
 from repro.engine.deadline import Deadline
 from repro.exceptions import ReproError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Trace, TraceRing
 from repro.serve.faults import (
     DROP_CONNECTION,
@@ -145,6 +144,9 @@ class ReasoningServer:
         advertise: Optional[str] = None,
     ):
         self.registry = registry if registry is not None else TenantRegistry()
+        # The tenant registry owns the metrics; the server declares its
+        # own instruments on them, and ``/stats`` reads its counters back.
+        metrics = self.metrics = self.registry.metrics
         self.host = host
         self.port = port
         self.grace = grace
@@ -179,10 +181,6 @@ class ReasoningServer:
             else None
         )
         self._replication_task: Optional[asyncio.Task] = None
-        # The server-wide counters live on the metrics registry (their
-        # ``/stats`` entries read the instrument values back, so the
-        # JSON shape is unchanged — pinned by the stats-shape test).
-        metrics = self.metrics = MetricsRegistry()
         self.traces = TraceRing()
         self.promotions = metrics.counter(
             "repro_promotions_total", "Follower-to-primary promotions"
@@ -217,111 +215,24 @@ class ReasoningServer:
             )
             for op in ("implies", "implies_all", "mutate", "whatif", "check")
         }
-        self._wire_registry_metrics()
         metrics.register_collector(self._collect_metrics)
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown: Optional[asyncio.Event] = None
         self._conn_states: dict[asyncio.Task, _ConnState] = {}
 
-    # -- metrics wiring ----------------------------------------------------
-
-    def _wire_registry_metrics(self) -> None:
-        """Adopt the tenant registry's instruments into this server's
-        metrics registry.
-
-        A :class:`TenantRegistry` built before the server (the common
-        test/CLI shape) created standalone artifact-cache counters and
-        per-tenant coalescer/WAL instruments; this re-homes the live
-        counter objects (values intact) and rebinds the per-tenant
-        hooks so everything lands in one scrapeable registry.
-        """
-        from repro.serve.coalescer import _BATCH_SIZE_BUCKETS
-
-        registry = self.registry
-        if registry.metrics is None:
-            registry.metrics = self.metrics
-            for counter in (
-                registry.artifacts.hits,
-                registry.artifacts.misses,
-                registry.artifacts.evictions,
-                registry.artifacts.drifted,
-            ):
-                self.metrics.register(counter)
-        batch_sizes = self.metrics.histogram(
-            "repro_coalescer_batch_size",
-            "Requests per coalescer flush",
-            buckets=_BATCH_SIZE_BUCKETS,
-        )
-        fsync = self.metrics.histogram(
-            "repro_wal_fsync_seconds", "WAL record write+fsync latency"
-        )
-        for tenant in registry.tenants.values():
-            tenant.coalescer.batch_sizes = batch_sizes
-            if tenant.store is not None:
-                tenant.store.on_fsync = fsync.observe
+    # -- metrics -----------------------------------------------------------
 
     def _collect_metrics(self) -> None:
-        """Scrape-time gauges derived from the live ``stats()`` dicts.
-
-        This is the whole trick that keeps instrumentation off the hot
-        path: the engine's counters (reach compiles, chase rounds, FD
-        memo hits, ...) are ints it already maintains; nothing new is
-        paid per query, and the aggregation below runs only when
-        ``/metrics`` is actually scraped.
-        """
+        """Scrape-time gauges over the server's own state (the tenant
+        registry collects its own)."""
         metrics = self.metrics
         registry = self.registry
-        metrics.gauge("repro_tenants", "Live tenants").set(
-            len(registry.tenants)
-        )
         metrics.gauge("repro_connections", "Open connections").set(
             len(self._conn_states)
         )
         metrics.gauge(
             "repro_traces_recorded", "Traces recorded into the debug ring"
         ).set(self.traces.recorded)
-        session_sums = {
-            "repro_engine_queries": "queries",
-            "repro_engine_reach_cache_hits": "reach_cache_hits",
-            "repro_engine_reach_fallbacks": "reach_fallbacks",
-            "repro_engine_degraded_answers": "degraded_answers",
-            "repro_reach_compiles": "reach_compiles",
-            "repro_reach_compile_seconds": "reach_compile_seconds",
-            "repro_reach_extensions": "reach_extensions",
-            "repro_reach_invalidations": "reach_invalidations",
-            "repro_fd_closure_hits": "closure_hits",
-            "repro_fd_closure_misses": "closure_misses",
-            "repro_fd_kernels_compiled": "fd_kernels_compiled",
-            "repro_chase_runs": "chase_runs",
-            "repro_chase_rounds": "chase_rounds",
-            "repro_chase_rows_scanned": "chase_rows_scanned",
-        }
-        totals = dict.fromkeys(session_sums, 0)
-        coalescer_keys = (
-            "requests", "batches", "unique_decides", "deduplicated",
-            "degraded",
-        )
-        coalescer_totals = dict.fromkeys(coalescer_keys, 0)
-        wal_totals = {"appends": 0, "snapshots": 0}
-        replayed = 0
-        for tenant in registry.tenants.values():
-            stats = tenant.session.stats()
-            for name, key in session_sums.items():
-                totals[name] += stats.get(key, 0)
-            coalescer_stats = tenant.coalescer.stats()
-            for key in coalescer_keys:
-                coalescer_totals[key] += coalescer_stats[key]
-            replayed += tenant.replayed_mutations
-            if tenant.store is not None:
-                wal_totals["appends"] += tenant.store.appends
-                wal_totals["snapshots"] += tenant.store.snapshots
-        for name, value in totals.items():
-            metrics.gauge(name).set(value)
-        for key, value in coalescer_totals.items():
-            metrics.gauge(f"repro_coalescer_{key}").set(value)
-        metrics.gauge("repro_wal_appends").set(wal_totals["appends"])
-        metrics.gauge("repro_wal_snapshots").set(wal_totals["snapshots"])
-        metrics.gauge("repro_replayed_mutations").set(replayed)
         replication = self.replication
         metrics.gauge("repro_replication_forwarded_records").set(
             replication.forwarded_records

@@ -120,9 +120,10 @@ class TenantStore:
         self.appends_since_snapshot = 0
         self.applied: dict[str, dict[str, Any]] = {}
         self._wal = None
-        # Set by the server's metrics wiring: called with each record
-        # write's fsync wall time (seconds).  Replicated appends report
-        # through the same hook, so follower fsyncs are observed too.
+        # Set by the tenant registry when it installs the tenant: called
+        # with each record write's fsync wall time (seconds).  Replicated
+        # appends report through the same hook, so follower fsyncs are
+        # observed too.
         self.on_fsync: Optional[Callable[[float], None]] = None
 
     # -- lifecycle ---------------------------------------------------------

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -127,15 +126,21 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.histogram("thing_total", y="1")
 
-    def test_register_adopts_a_standalone_instrument(self):
-        counter = Counter("warm_total")
-        counter.inc(7)
+    def test_label_values_cannot_forge_series(self):
+        """A label value from outside (a follower endpoint) is escaped,
+        so it renders as one series and never starts a line of its own."""
         registry = MetricsRegistry()
-        registry.register(counter)
-        assert registry.counter("warm_total") is counter
-        assert registry.counter("warm_total").value == 7
-        with pytest.raises(ValueError):
-            registry.register(Counter("warm_total"))
+        registry.gauge(
+            "lag", follower='evil"} 1\nrepro_fake 9:80\\'
+        ).set(3)
+        samples = [
+            line
+            for line in registry.render_prometheus().splitlines()
+            if not line.startswith("#")
+        ]
+        assert samples == [
+            'lag{follower="evil\\"} 1\\nrepro_fake 9:80\\\\"} 3'
+        ]
 
     def test_collectors_run_at_scrape_time_only(self):
         registry = MetricsRegistry()

@@ -236,6 +236,25 @@ class TestStatsShape:
         assert client.stats()["requests_served"] > before
 
 
+class TestRegistryBuiltBeforeTheServer:
+    def test_its_tenant_reports_into_the_server_metrics(self, tmp_path):
+        """A tenant created before ``BackgroundServer(registry=...)``
+        lands in the same histograms and counters as one created over
+        HTTP: the registry owns the metrics the server exposes."""
+        registry = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        registry.create_from_bundle("early", BUNDLE)
+        with BackgroundServer(registry=registry) as bg:
+            with ServeClient(port=bg.port) as client:
+                client.implies("early", PROBE)
+                client.add("early", [EXTRA_DEP])
+            series, _ = parse_exposition(scrape_prometheus(bg.port)[1])
+        assert series["repro_coalescer_batch_size_count"] == 1
+        assert series["repro_wal_fsync_seconds_count"] == 1
+        assert series["repro_artifact_cache_misses_total"] == 1
+        for event in ("hits", "evictions", "drifted"):
+            assert series[f"repro_artifact_cache_{event}_total"] == 0
+
+
 class TestClientTransportStats:
     def test_transport_counters_accumulate(self, server):
         with ServeClient(port=server.port) as client:
@@ -268,8 +287,8 @@ class TestTracePropagation:
                 heartbeat=0.05,
             ) as follower:
                 wait_until(
-                    lambda: primary.server.replication.followers,
-                    message="follower registration",
+                    lambda: "app" in follower.server.registry.tenants,
+                    message="follower tenant bootstrap",
                 )
                 status, _, body = raw_request(
                     primary.port,

@@ -1,6 +1,7 @@
 """Tenant lifecycle and the structural-hash artifact LRU."""
 
 import asyncio
+import json
 import os
 
 import pytest
@@ -10,7 +11,7 @@ from repro.deps.ind import IND
 from repro.engine import ReasoningSession
 from repro.model.schema import DatabaseSchema
 from repro.serve import ArtifactCache, ServeError, StateDir, TenantRegistry
-from repro.serve.wal import WAL_FILE
+from repro.serve.wal import SNAPSHOT_FILE, WAL_FILE, WalCorruption
 
 
 @pytest.fixture
@@ -59,6 +60,19 @@ class TestTenantLifecycle:
         with pytest.raises(ServeError) as excinfo:
             TenantRegistry().create("", schema, premises)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("name", ["a/b", "a b", "a?b", ".", ".."])
+    def test_unroutable_name_rejected(self, schema, premises, name):
+        registry = TenantRegistry()
+        with pytest.raises(ServeError) as excinfo:
+            registry.create(name, schema, premises)
+        assert excinfo.value.status == 400
+        assert registry.tenants == {}
+
+    def test_url_safe_names_accepted(self, schema, premises):
+        registry = TenantRegistry()
+        for name in ("app", "lru-a", "t123", "A.b_c~d-9"):
+            assert registry.create(name, schema, premises).name == name
 
     def test_drop_unknown_is_404(self):
         with pytest.raises(ServeError) as excinfo:
@@ -255,3 +269,65 @@ class TestDurableLifecycle:
             assert tenant.replayed_mutations == 1
         finally:
             rebooted.close()
+
+
+def rewrite_json(path, edit):
+    """Load the JSON document at ``path``, apply ``edit``, write it back."""
+    with open(path, encoding="utf-8") as fp:
+        payload = json.load(fp)
+    edit(payload)
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(payload, fp)
+
+
+class TestRebuildRefusals:
+    """A rebuilt tenant must prove it is the state its source describes."""
+
+    def test_edited_snapshot_premise_hash_refuses_recovery(
+        self, tmp_path, schema, premises
+    ):
+        registry = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        store_path = registry.create("app", schema, premises).store.path
+        registry.close()
+        rewrite_json(
+            os.path.join(store_path, SNAPSHOT_FILE),
+            lambda snapshot: snapshot.update(premise_hash="0" * 64),
+        )
+        with pytest.raises(WalCorruption, match="premise_hash"):
+            TenantRegistry(state_dir=StateDir(str(tmp_path)))
+
+    def test_unparsable_wal_patch_refuses_recovery_naming_its_seq(
+        self, tmp_path, schema, premises
+    ):
+        registry = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        tenant = registry.create("app", schema, premises)
+        tenant.mutate("add", ["EMP: NAME -> DEPT"])
+        tenant.mutate("add", ["PERSON[NAME] <= EMP[NAME]"])
+        registry.close()
+        wal_path = os.path.join(tenant.store.path, WAL_FILE)
+        with open(wal_path, encoding="utf-8") as fp:
+            records = [json.loads(line) for line in fp]
+        records[1]["patch"] = {"add": ["not a dependency"]}
+        with open(wal_path, "w", encoding="utf-8") as fp:
+            fp.writelines(json.dumps(record) + "\n" for record in records)
+        with pytest.raises(WalCorruption, match="seq 2"):
+            TenantRegistry(state_dir=StateDir(str(tmp_path)))
+
+    def test_mismatched_replica_premise_hash_installs_nothing(
+        self, tmp_path, schema, premises
+    ):
+        registry = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        try:
+            existing = registry.create("app", schema, premises)
+            payload = registry.replication_snapshot_of("app")
+            payload["premise_hash"] = "0" * 64
+            with pytest.raises(WalCorruption, match="premise_hash"):
+                registry.create_replica("other", payload)
+            assert "other" not in registry.tenants
+            assert os.listdir(registry.state_dir.tenants_root) == ["app"]
+            # A refused re-bootstrap leaves the tenant it would replace.
+            with pytest.raises(WalCorruption, match="premise_hash"):
+                registry.create_replica("app", payload)
+            assert registry.get("app") is existing
+        finally:
+            registry.close()

@@ -90,8 +90,9 @@ class TestBootstrapAndForward:
                     assert served == control.implies(probe).verdict, probe
 
     def test_forward_is_synchronous_with_the_ack(self):
-        """Once the follower is registered, a 200 on a mutation means
-        the record is already applied there — no sleep needed."""
+        """Once the follower has bootstrapped the tenant, a 200 on a
+        mutation means the record is already applied there — no sleep
+        needed."""
         with BackgroundServer() as primary:
             client = ServeClient(port=primary.port)
             client.create_tenant("app", BUNDLE)
@@ -99,6 +100,12 @@ class TestBootstrapAndForward:
                 wait_until(
                     lambda: primary.server.replication.followers,
                     message="follower registration",
+                )
+                # Registration precedes the snapshot bootstrap: a forward
+                # landing while the snapshot is in flight is refused.
+                wait_until(
+                    lambda: "app" in follower.server.registry.tenants,
+                    message="follower tenant bootstrap",
                 )
                 client.add("app", [EXTRA_DEP])
                 # No wait: the ack already waited for the follower.
@@ -136,8 +143,8 @@ class TestBootstrapAndForward:
             client.create_tenant("app", BUNDLE)
             with follower_of(primary) as follower:
                 wait_until(
-                    lambda: primary.server.replication.followers,
-                    message="follower registration",
+                    lambda: "app" in follower.server.registry.tenants,
+                    message="follower tenant bootstrap",
                 )
                 client.add("app", [EXTRA_DEP], key="pinned")
                 replayed = client.add("app", [EXTRA_DEP], key="pinned")

@@ -403,6 +403,12 @@ class TestErrors:
             client.create_tenant(tenant, BUNDLE)
         assert excinfo.value.status == 409
 
+    def test_unroutable_tenant_name_is_400(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.create_tenant("a/b", BUNDLE)
+        assert excinfo.value.status == 400
+        assert "a/b" not in client.tenants()
+
     def test_bad_dsl_is_400(self, client, tenant):
         with pytest.raises(ServeError) as excinfo:
             client.implies(tenant, "not a dependency")

@@ -410,6 +410,12 @@ class TestServeAndCall:
         assert main(["serve", "--tenant", "missing-equals"]) == 2
         assert "NAME=BUNDLE.json" in capsys.readouterr().err
 
+    def test_serve_rejects_an_unroutable_tenant_name(
+        self, bundle_path, capsys
+    ):
+        assert main(["serve", "--tenant", f"a/b={bundle_path}"]) == 2
+        assert "'a/b' must match [A-Za-z0-9._~-]+" in capsys.readouterr().err
+
 
 class TestDiscover:
     @pytest.fixture
