@@ -45,7 +45,7 @@ from repro.serve.protocol import ServeError
 from repro.serve.wal import (
     DEFAULT_SNAPSHOT_EVERY,
     StateDir,
-    TenantStore,
+    TenantLog,
     WalCorruption,
 )
 
@@ -217,48 +217,43 @@ class ArtifactCache:
 
 
 class Tenant:
-    """One named session behind the server, with its coalescer.
+    """One named session behind the server, with its coalescer and log.
 
-    When the server runs with ``--state-dir`` the tenant also owns a
-    :class:`~repro.serve.wal.TenantStore`: every applied mutation is
-    WAL-appended before the caller sees its result, and every
-    ``snapshot_every`` appends the full premise bundle is checkpointed
-    and the WAL truncated.  Idempotency keys dedup retried mutations —
-    against the store's persisted key map when durable, an in-memory
-    map otherwise.
+    ``store`` is the tenant's one :class:`~repro.serve.wal.TenantLog`:
+    every applied mutation becomes a record there before the caller
+    sees its result, and idempotency keys dedup retried mutations
+    against the log's key map.  With ``--state-dir`` the log is a
+    :class:`~repro.serve.wal.TenantStore`, so each record is fsync'd,
+    and every ``snapshot_every`` appends the tenant is checkpointed and
+    the WAL truncated.
     """
 
     def __init__(
         self,
         name: str,
         session: ReasoningSession,
-        shared_artifacts: bool = False,
-        store: Optional[TenantStore] = None,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
+        store: TenantLog,
         options: Optional[dict[str, int]] = None,
-        term: int = 0,
-        replicating: bool = False,
+        shared_artifacts: bool = False,
+        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     ):
         self.name = name
         self.session = session
         self.coalescer = Coalescer(session, degrade=True)
-        self.shared_artifacts = shared_artifacts
         self.store = store
-        self.snapshot_every = snapshot_every
         self.options = dict(options or {})
-        self.applied: dict[str, dict[str, Any]] = (
-            store.applied if store is not None else {}
-        )
+        self.shared_artifacts = shared_artifacts
+        self.snapshot_every = snapshot_every
         self.replayed_mutations = 0
-        # Replication bookkeeping: the log position this tenant has
-        # applied through (== store.seq when durable), the node term its
-        # records are stamped with, and the last record built by a
-        # mutation — what the primary forwards to its followers.
-        self.replicated_seq = store.seq if store is not None else 0
-        self.term = max(term, store.term if store is not None else 0)
-        self.replicating = replicating
+        # The last record a mutation appended: what the primary
+        # forwards to its followers.
         self.last_record: Optional[dict[str, Any]] = None
         self.applied_replicated = 0
+
+    @property
+    def replicated_seq(self) -> int:
+        """The log position this tenant has applied through."""
+        return self.store.seq
 
     def mutate(
         self,
@@ -272,8 +267,8 @@ class Tenant:
         With an idempotency ``key``, a repeat of an already-applied
         mutation returns the recorded result without touching the
         session — the server half of the exactly-once retry contract.
-        Durable tenants WAL-append the patch (fsync'd) before
-        returning, so an acknowledged mutation survives a crash.
+        The mutation is logged (fsync'd when durable) before this
+        returns, and the result carries its ``seq``.
         """
         deps = list(dependencies)
         if not deps:
@@ -281,7 +276,7 @@ class Tenant:
         if key is not None:
             if not isinstance(key, str) or not key:
                 raise ServeError(400, "'key' must be a non-empty string")
-            replay = self.applied.get(key)
+            replay = self.store.applied.get(key)
             if replay is not None:
                 self.replayed_mutations += 1
                 return {**replay, "idempotent_replay": True}
@@ -296,78 +291,78 @@ class Tenant:
             "added": [str(dep) for dep in delta.added],
             "removed": [str(dep) for dep in delta.removed],
         }
-        patch = {kind: [str(dep) for dep in coerced]}
-        if self.store is not None:
-            record = self.store.append(
-                patch, key=key, result=result, trace=trace
-            )
-            result["seq"] = record["seq"]
-            if self.store.appends_since_snapshot >= self.snapshot_every:
-                self.checkpoint()
-        else:
-            # Non-durable tenants still number their mutations when the
-            # node replicates: the record is the replication payload.
-            seq = self.replicated_seq + 1
-            record = {"seq": seq, "term": self.term, "patch": patch}
-            if key:
-                record["key"] = key
-            if trace is not None:
-                record["trace"] = trace.trace_id
-            if self.replicating:
-                result["seq"] = seq
-            record["result"] = dict(result)
-            if key is not None:
-                self.applied[key] = record["result"]
-        self.replicated_seq = record["seq"]
-        self.last_record = record
+        record = self.last_record = self.store.append(
+            {kind: [str(dep) for dep in coerced]},
+            key=key, result=result, trace=trace,
+        )
+        result["seq"] = record["seq"]
+        self._checkpoint_if_due()
         return result
 
-    def apply_replicated(self, record: dict[str, Any]) -> None:
-        """Apply one replicated WAL record — the follower apply mode.
+    def apply_replicated(self, records: Iterable[Any]) -> int:
+        """Apply replicated log records in order; returns how many.
 
-        The record flows through the *same* mutation path a local
+        Each record flows through the *same* mutation path a local
         client's would (coalescing barrier, then ``session.add`` /
         ``session.retract``), so a follower's session stays
         verdict-equivalent with the primary's: same premises, same
         compiled artifacts lifecycle, same version arithmetic.  The
-        record's idempotency key and recorded result are adopted too,
+        record's idempotency key and recorded result are logged too,
         which is what makes a keyed retry *after failover* replay
-        instead of double-applying — the exactly-once contract survives
-        the primary's death.  The caller (the follower replicator) is
-        responsible for ordering: records must arrive at
-        ``replicated_seq + 1``.
+        instead of double-applying.  Records at or below the log's seq
+        are duplicate deliveries and are skipped; a gap is a 409.
         """
-        seq = int(record["seq"])
-        if seq != self.replicated_seq + 1:
-            raise ServeError(
-                409,
-                f"tenant {self.name!r}: replicated record seq {seq} does "
-                f"not follow applied seq {self.replicated_seq}",
-            )
-        self.coalescer.barrier()
-        apply_patch(self.session, record.get("patch") or {})
-        if self.store is not None:
+        applied = 0
+        for record in records:
+            if not isinstance(record, dict):
+                raise ServeError(400, "each record must be a JSON object")
+            seq = int(record.get("seq", 0))
+            if seq <= self.store.seq:
+                continue
+            if seq != self.store.seq + 1:
+                raise ServeError(
+                    409,
+                    f"tenant {self.name!r}: replicated record seq {seq} "
+                    f"does not follow applied seq {self.store.seq}",
+                )
+            self.coalescer.barrier()
+            apply_patch(self.session, record.get("patch") or {})
             self.store.append_replicated(record)
-            if self.store.appends_since_snapshot >= self.snapshot_every:
-                self.checkpoint()
-        else:
-            key = record.get("key")
-            if key:
-                self.applied[key] = record.get("result") or {}
-        self.replicated_seq = seq
-        self.term = max(self.term, int(record.get("term", 0)))
-        self.applied_replicated += 1
+            self._checkpoint_if_due()
+            applied += 1
+        self.applied_replicated += applied
+        return applied
+
+    def snapshot(self) -> dict[str, Any]:
+        """The tenant's whole state at its log's seq.
+
+        One payload serves checkpoints, new stores and follower
+        bootstraps.  It is built from the *live* session, so it covers
+        every applied mutation, including ones a disk snapshot has not
+        checkpointed yet.
+        """
+        store = self.store
+        return {
+            "name": self.name,
+            "seq": store.seq,
+            "term": store.term,
+            "premise_hash": self.session.premise_hash,
+            "bundle": bundle_payload_of(self.session),
+            "options": dict(self.options),
+            "applied_keys": dict(store.applied),
+        }
 
     def checkpoint(self) -> None:
-        """Snapshot the live session's premise bundle; truncates the WAL."""
-        if self.store is None:
-            return
-        self.store.write_snapshot(
-            self.name,
-            bundle_payload_of(self.session),
-            self.session.premise_hash,
-            options=self.options,
-        )
+        """Snapshot a durable tenant's state; truncates its WAL."""
+        if self.store.durable:
+            self.store.write_snapshot(self.snapshot())
+
+    def _checkpoint_if_due(self) -> None:
+        store = self.store
+        if store.durable and (
+            store.appends_since_snapshot >= self.snapshot_every
+        ):
+            self.checkpoint()
 
     async def whatif_async(
         self,
@@ -432,7 +427,7 @@ class Tenant:
             payload["applied_replicated"] = self.applied_replicated
         if self.options:
             payload["options"] = dict(self.options)
-        if self.store is not None:
+        if self.store.durable:
             payload["wal"] = self.store.stats()
         return payload
 
@@ -463,7 +458,6 @@ class TenantRegistry:
         self.recovered_tenants = 0
         self.replayed_records = 0
         self.term = state_dir.load_term() if state_dir is not None else 0
-        self.replicating = False
         metrics = self.metrics = MetricsRegistry()
         # One batch-size and one fsync histogram shared by every tenant
         # (a per-tenant family would multiply exposition size without
@@ -502,10 +496,10 @@ class TenantRegistry:
     def set_term(self, term: int) -> None:
         """Adopt a (higher) node term, persisting it before it is used.
 
-        Every tenant and store stamps subsequent records with the new
-        term; the durable save happens *first*, so a crash between
-        promotion and the next append can never resurrect the node at
-        its old term.
+        Every tenant's log stamps subsequent records with the new term;
+        the durable save happens *first*, so a crash between promotion
+        and the next append can never resurrect the node at its old
+        term.
         """
         if term < self.term:
             raise ValueError(
@@ -515,67 +509,44 @@ class TenantRegistry:
             self.state_dir.save_term(term)
         self.term = term
         for tenant in self.tenants.values():
-            tenant.term = max(tenant.term, term)
-            if tenant.store is not None:
-                tenant.store.term = max(tenant.store.term, term)
-
-    def set_replicating(self, replicating: bool) -> None:
-        """Mark this node as a replication participant: mutations build
-        forwardable records (and stamp ``seq`` even without a WAL)."""
-        self.replicating = replicating
-        for tenant in self.tenants.values():
-            tenant.replicating = replicating
+            tenant.store.term = max(tenant.store.term, term)
 
     def _install(
         self,
         name: str,
         session: ReasoningSession,
         options: dict[str, int],
-        store: Optional[TenantStore] = None,
-        seq: int = 0,
-        term: int = 0,
-        applied: Optional[dict[str, dict[str, Any]]] = None,
+        store: Optional[TenantLog] = None,
     ) -> Tenant:
         """Register ``session`` as tenant ``name`` — the one place a
         :class:`Tenant` is built.
 
-        Shares cached compiled artifacts, opens a fresh store at
-        ``seq``/``term`` with the ``applied`` key map when durable and
-        no recovered ``store`` is passed, and wires the tenant into the
-        shared histograms.
+        ``store`` is a recovered :class:`~repro.serve.wal.TenantStore`
+        or a replica's bootstrapped log; a new tenant starts an empty
+        log.  Shares cached compiled artifacts, stamps the log with the
+        node's term, gives a durable registry's new tenant a store
+        holding its snapshot, and wires the tenant into the shared
+        histograms.
         """
-        shared = self.artifacts.adopt_into(session)
-        term = max(term, self.term)
-        if store is None and self.state_dir is not None:
-            store = self.state_dir.create_tenant(
-                name,
-                bundle_payload_of(session),
-                session.premise_hash,
-                options=options,
-                seq=seq,
-                term=term,
-                applied=applied,
-            )
+        store = store if store is not None else TenantLog()
+        store.term = max(store.term, self.term)
         tenant = Tenant(
             name,
             session,
-            shared_artifacts=shared,
-            store=store,
+            store,
+            options=options,
+            shared_artifacts=self.artifacts.adopt_into(session),
             snapshot_every=(
                 self.state_dir.snapshot_every
                 if self.state_dir is not None
                 else DEFAULT_SNAPSHOT_EVERY
             ),
-            options=options,
-            term=term,
-            replicating=self.replicating,
         )
         tenant.coalescer.batch_sizes = self.batch_sizes
-        if store is None:
-            tenant.replicated_seq = seq
-            tenant.applied.update(applied or {})
-        else:
-            store.on_fsync = self.fsync_seconds.observe
+        if self.state_dir is not None:
+            if not store.durable:
+                tenant.store = self.state_dir.create_tenant(tenant.snapshot())
+            tenant.store.on_fsync = self.fsync_seconds.observe
         self.tenants[name] = tenant
         return tenant
 
@@ -604,7 +575,7 @@ class TenantRegistry:
             except Exception:
                 store.close()
                 raise
-            self._install(name, session, options, store=store)
+            self._install(name, session, options, store)
             self.recovered_tenants += 1
 
     def create(
@@ -655,23 +626,8 @@ class TenantRegistry:
         )
 
     def replication_snapshot_of(self, name: str) -> dict[str, Any]:
-        """The bootstrap payload a follower pulls for one tenant.
-
-        Built from the *live* session (not the on-disk snapshot), so a
-        non-durable primary can still seed followers, and the payload
-        always reflects every applied mutation — including ones a disk
-        snapshot hasn't checkpointed yet.
-        """
-        tenant = self.get(name)
-        return {
-            "name": tenant.name,
-            "seq": tenant.replicated_seq,
-            "term": tenant.term,
-            "premise_hash": tenant.session.premise_hash,
-            "bundle": bundle_payload_of(tenant.session),
-            "options": dict(tenant.options),
-            "applied_keys": dict(tenant.applied),
-        }
+        """The bootstrap payload a follower pulls for one tenant."""
+        return self.get(name).snapshot()
 
     def create_replica(
         self, name: str, payload: dict[str, Any]
@@ -683,19 +639,15 @@ class TenantRegistry:
         to serve state it cannot prove it reconstructed — and an
         existing tenant of the same name is *replaced* (a re-bootstrap
         after divergence or a truncated-away tail supersedes whatever
-        the follower had).
+        the follower had).  The tenant's log resumes at the payload's
+        seq, term and keys.
         """
         session, options = _rebuild(f"replica {name!r}: bootstrap", payload)
-        seq = int(payload.get("seq", 0))
-        term = int(payload.get("term", 0))
-        applied = dict(payload.get("applied_keys") or {})
+        log = TenantLog()
+        log.resume(payload)
         if name in self.tenants:
             self.drop(name)
-        tenant = self._install(
-            name, session, options, seq=seq, term=term, applied=applied
-        )
-        tenant.replicating = True
-        return tenant
+        return self._install(name, session, options, log)
 
     def get(self, name: str) -> Tenant:
         tenant = self.tenants.get(name)
@@ -708,25 +660,19 @@ class TenantRegistry:
         tenant = self.tenants.get(name)
         if tenant is None:
             raise ServeError(404, f"no tenant named {name!r}")
-        if tenant.store is not None:
-            tenant.store.close()
+        tenant.store.close()
         if self.state_dir is not None:
             self.state_dir.drop_tenant(name)
         del self.tenants[name]
 
-    def checkpoint_all(self) -> int:
+    def checkpoint_all(self) -> None:
         """Snapshot every durable tenant (graceful-shutdown hook)."""
-        count = 0
         for tenant in self.tenants.values():
-            if tenant.store is not None:
-                tenant.checkpoint()
-                count += 1
-        return count
+            tenant.checkpoint()
 
     def close(self) -> None:
         for tenant in self.tenants.values():
-            if tenant.store is not None:
-                tenant.store.close()
+            tenant.store.close()
 
     def stats(self) -> dict[str, Any]:
         payload: dict[str, Any] = {

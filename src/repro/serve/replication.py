@@ -1,13 +1,14 @@
 """Primary/follower replication for the serving layer.
 
 One node is the *primary*: it accepts mutations, appends them to each
-tenant's durable log (see :mod:`repro.serve.wal`), and forwards every
-record to its registered followers **before acknowledging the client**
-— so an acknowledged mutation exists on every in-sync follower the
-moment the caller sees its result.  Followers apply the records
-through the exact session path a local mutation takes
-(:meth:`~repro.serve.registry.Tenant.apply_replicated`), which keeps
-them verdict-equivalent: same premises, same version arithmetic, same
+tenant's log (a :class:`~repro.serve.wal.TenantLog`, durable with
+``--state-dir``), and forwards every record to its registered
+followers **before acknowledging the client** — so an acknowledged
+mutation exists on every in-sync follower the moment the caller sees
+its result.  Followers apply pushed and pulled records alike through
+:meth:`~repro.serve.registry.Tenant.apply_replicated`, the exact
+session path a local mutation takes, which keeps them
+verdict-equivalent: same premises, same version arithmetic, same
 compiled-artifact lifecycle.  Followers serve the read surface
 (``implies`` / ``implies_all`` / ``whatif`` / ``check``) with a
 reported replication lag and 421-redirect mutations to the primary.
@@ -96,11 +97,14 @@ async def replication_request(
     traffic is low-rate and a stale keep-alive socket to a dead peer is
     exactly the failure mode heartbeats exist to detect.  Raises
     :class:`OSError` / :class:`asyncio.TimeoutError` on network
-    failure; HTTP-level refusals come back as ``(status, payload)``.
+    failure — a reply cut short or unparsable (bad ``Content-Length``,
+    non-JSON body) is a :class:`ConnectionError`; HTTP-level refusals
+    come back as ``(status, payload)``.
     """
 
+    host, port = parse_endpoint(endpoint)
+
     async def round_trip() -> tuple[int, dict[str, Any]]:
-        host, port = parse_endpoint(endpoint)
         reader, writer = await asyncio.open_connection(host, port)
         try:
             body = b"" if payload is None else json.dumps(payload).encode()
@@ -144,7 +148,11 @@ async def replication_request(
             except (OSError, asyncio.CancelledError):
                 pass
 
-    return await asyncio.wait_for(round_trip(), timeout)
+    try:
+        return await asyncio.wait_for(round_trip(), timeout)
+    except (EOFError, ValueError) as exc:
+        # A cut-short body, a bad Content-Length or a non-JSON body.
+        raise ConnectionError(f"bad reply from {endpoint}: {exc!r}") from exc
 
 
 class FollowerHandle:
@@ -193,15 +201,13 @@ class PrimaryReplicator:
         )
 
     def register(self, endpoint: str) -> FollowerHandle:
-        """Adopt (or refresh) a follower; flips the node to replicating
-        so even non-durable tenants number and record their mutations."""
+        """Adopt (or refresh) a follower."""
         handle = self.followers.get(endpoint)
         if handle is None:
             handle = FollowerHandle(endpoint)
             self.followers[endpoint] = handle
         handle.state = "healthy"
         handle.last_error = None
-        self.server.registry.set_replicating(True)
         return handle
 
     async def forward(
@@ -332,8 +338,8 @@ class FollowerReplicator:
     every registry mutation it performs is serialized with request
     handling — no locks.  Pushed records arrive via the server's
     ``POST /replication/apply`` route and land in
-    :meth:`server.apply_replicated_envelope`; this task only handles
-    the *pull* side (initial bootstrap and gap repair) plus liveness.
+    :func:`apply_envelope`; this task only handles the *pull* side
+    (initial bootstrap and gap repair) plus liveness.
     """
 
     def __init__(
@@ -488,11 +494,9 @@ class FollowerReplicator:
                 # over from a fresh snapshot.
                 await self._bootstrap(name)
                 continue
-            for record in payload.get("records") or []:
-                if int(record.get("seq", 0)) <= tenant.replicated_seq:
-                    continue
-                tenant.apply_replicated(record)
-                self.pulled_records += 1
+            self.pulled_records += tenant.apply_replicated(
+                payload.get("records") or []
+            )
 
     async def _bootstrap(self, name: str) -> None:
         try:
@@ -595,14 +599,7 @@ def apply_envelope(server: Any, body: dict[str, Any]) -> dict[str, Any]:
     records = body.get("records")
     if not isinstance(records, list):
         raise ServeError(400, "'records' must be a list of WAL records")
-    applied = 0
-    for record in records:
-        if not isinstance(record, dict):
-            raise ServeError(400, "each record must be a JSON object")
-        if int(record.get("seq", 0)) <= tenant.replicated_seq:
-            continue  # duplicate delivery — already applied
-        tenant.apply_replicated(record)
-        applied += 1
+    applied = tenant.apply_replicated(records)
     return {
         "ok": True,
         "tenant": name,

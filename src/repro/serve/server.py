@@ -295,7 +295,6 @@ class ReasoningServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.follower is not None:
-            self.registry.set_replicating(True)
             self._replication_task = asyncio.create_task(
                 self.follower.run(), name="repro-replication"
             )
@@ -618,23 +617,12 @@ class ReasoningServer:
                     400, f"'after' must be a non-negative integer, got "
                          f"{after!r}"
                 )
-            if tenant.store is None:
-                # A non-durable node keeps no tail to replay; an exactly
-                # caught-up follower gets an empty page, anyone behind
-                # must re-bootstrap from a snapshot.
-                if after >= tenant.replicated_seq:
-                    return {"records": [], "seq": tenant.replicated_seq}
-                raise ServeError(
-                    409,
-                    f"tenant {parts[1]!r} keeps no WAL tail here",
-                    extra={"resync": True},
-                )
             records = tenant.store.read_from(after)
             if records is None:
                 raise ServeError(
                     409,
-                    f"tenant {parts[1]!r}: records after seq {after} were "
-                    f"truncated by a snapshot",
+                    f"tenant {parts[1]!r} no longer keeps the records after "
+                    f"seq {after}; resync from its snapshot",
                     extra={"resync": True},
                 )
             return {"records": records, "seq": tenant.replicated_seq}
@@ -798,7 +786,6 @@ class ReasoningServer:
             if (
                 not result.get("idempotent_replay")
                 and self.replication.followers
-                and tenant.last_record is not None
             ):
                 await self.replication.forward(
                     tenant.name, tenant.last_record, trace=trace
@@ -863,7 +850,7 @@ class ReasoningServer:
         if (
             self.role != "primary"
             or len(replication) > 3
-            or self.registry.replicating
+            or self.follower is not None
         ):
             payload["replication"] = replication
         if self.faults:
@@ -909,24 +896,11 @@ class BackgroundServer:
     def __init__(
         self,
         registry: Optional[TenantRegistry] = None,
-        host: str = DEFAULT_HOST,
         port: int = 0,
-        grace: float = DEFAULT_GRACE,
-        default_deadline: Optional[float] = None,
-        faults: FaultInjector = NO_FAULTS,
-        replica_of: Optional[str] = None,
-        heartbeat: float = DEFAULT_HEARTBEAT,
-        failover_after: int = DEFAULT_FAILOVER_AFTER,
-        default_max_lag: Optional[int] = None,
-        advertise: Optional[str] = None,
+        **options: Any,
     ):
-        self.server = ReasoningServer(
-            registry, host=host, port=port, grace=grace,
-            default_deadline=default_deadline, faults=faults,
-            replica_of=replica_of, heartbeat=heartbeat,
-            failover_after=failover_after, default_max_lag=default_max_lag,
-            advertise=advertise,
-        )
+        """``options`` are :class:`ReasoningServer`'s keyword options."""
+        self.server = ReasoningServer(registry, port=port, **options)
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = threading.Event()

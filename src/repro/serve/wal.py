@@ -33,12 +33,14 @@ Replication and the ``term`` fencing rule
 -----------------------------------------
 
 The same log doubles as the replication stream (:mod:`repro.serve.
-replication`): a primary ships snapshot bootstraps plus WAL records by
-``seq`` to its followers, and :meth:`TenantStore.read_from` is the
-tailing API a catch-up pull reads.  Every record is stamped with the
-node's **term** — a monotonically increasing epoch number, bumped by
-exactly one each time a follower promotes itself to primary — and a
-snapshot records the highest term it covers.  The fencing rule:
+replication`): a primary ships snapshot bootstraps plus log records by
+``seq`` to its followers, and :meth:`TenantLog.read_from` is the
+tailing API a catch-up pull reads.  A tenant without ``--state-dir``
+keeps the same log (:class:`TenantLog`) in memory only.  Every record
+is stamped with the node's **term** — a monotonically increasing epoch
+number, bumped by exactly one each time a follower promotes itself to
+primary — and a snapshot records the highest term it covers.  The
+fencing rule:
 
 * a node **refuses any replication stream whose envelope term is lower
   than the highest term it has ever observed** (HTTP 409, the stream
@@ -100,25 +102,139 @@ class WalCorruption(ServeError):
         super().__init__(500, message)
 
 
-class TenantStore:
-    """The durable state of one tenant: a snapshot and a WAL tail.
+class TenantLog:
+    """One tenant's mutation log: seq, term, idempotency keys, records.
 
-    ``applied`` maps recent idempotency keys to the result payload
-    their mutation produced; it is rebuilt on open (snapshot map plus
-    replayed tail) and trimmed to the most recent
-    :data:`MAX_APPLIED_KEYS` entries at snapshot time.
+    Every applied ``add``/``retract`` becomes one record: its ``seq``
+    orders replication, its ``term`` stamps the node epoch it was
+    written under, and its optional idempotency ``key`` maps, in
+    ``applied``, to the result the client was told, so a retry replays
+    instead of re-applying.  ``applied`` keeps the newest
+    :data:`MAX_APPLIED_KEYS` keys, trimmed where a key is inserted.
+
+    This class keeps the log in memory; :class:`TenantStore` adds the
+    file.  An in-memory log keeps no records, so :meth:`read_from` can
+    answer only a follower that is already caught up.
     """
 
-    def __init__(self, path: str, faults: FaultInjector = NO_FAULTS):
-        self.path = path
-        self.faults = faults
+    durable = False
+
+    def __init__(self) -> None:
         self.seq = 0
         self.term = 0
+        self.applied: dict[str, dict[str, Any]] = {}
+
+    def resume(self, snapshot: dict[str, Any]) -> None:
+        """Continue from a snapshot payload: its seq, term and keys."""
+        self.seq = int(snapshot.get("seq", 0))
+        self.term = int(snapshot.get("term", 0))
+        applied = snapshot.get("applied_keys")
+        if isinstance(applied, dict):
+            for key, result in applied.items():
+                self._remember(key, result)
+
+    def close(self) -> None:
+        """Release the log's file; an in-memory log holds none."""
+
+    def read_from(self, after: int) -> Optional[list[dict[str, Any]]]:
+        """Records with ``seq > after`` — the replication tailing API.
+
+        ``None`` means those records are no longer kept, so the
+        follower must re-bootstrap from a snapshot instead of tailing.
+        """
+        return [] if after >= self.seq else None
+
+    # -- the write path ----------------------------------------------------
+
+    def append(
+        self,
+        patch: dict[str, Any],
+        key: Optional[str] = None,
+        result: Optional[dict[str, Any]] = None,
+        trace: Optional[Trace] = None,
+    ) -> dict[str, Any]:
+        """Log one applied mutation at the next seq; returns the record.
+
+        The caller's ``result`` dict is *not* mutated: the ``seq`` is
+        stamped into a copy, so the log never aliases the server-side
+        response payload.  The returned record (seq, term, patch, key,
+        recorded result) is exactly what replication forwards.  A
+        ``trace`` stamps its id into the record — the request↔mutation
+        link that rides the replication stream to the follower's log.
+        """
+        seq = self.seq + 1
+        record: dict[str, Any] = {"seq": seq, "term": self.term,
+                                  "patch": patch}
+        if key:
+            record["key"] = key
+        if trace is not None:
+            record["trace"] = trace.trace_id
+        if result is not None:
+            # A replay (after a reboot, too) returns the same
+            # acknowledgment as the original, seq included.
+            record["result"] = {**result, "seq": seq}
+        self._persist(record, trace)
+        self._advance(record)
+        return record
+
+    def append_replicated(self, record: dict[str, Any]) -> None:
+        """Log a record received from the replication stream.
+
+        The record is kept verbatim — same ``seq``, same ``term``, same
+        recorded result — so a promoted follower's log is byte-for-byte
+        continuable from the primary's history.  Records must arrive in
+        order; a gap is the caller's job to detect and resolve by
+        resync *before* appending.
+        """
+        seq = int(record["seq"])
+        if seq <= self.seq:
+            raise WalCorruption(
+                f"replicated record seq {seq} does not advance the log "
+                f"(at seq {self.seq})"
+            )
+        self._persist(record)
+        self._advance(record)
+
+    def _persist(
+        self, record: dict[str, Any], trace: Optional[Trace] = None
+    ) -> None:
+        """Write ``record`` down; an in-memory log has nowhere to."""
+
+    def _advance(self, record: dict[str, Any]) -> None:
+        """Make ``record`` the newest: its seq, term and key."""
+        self.seq = int(record["seq"])
+        self.term = max(self.term, int(record.get("term", 0)))
+        key = record.get("key")
+        if key:
+            self._remember(key, record.get("result") or {})
+
+    def _remember(self, key: str, result: dict[str, Any]) -> None:
+        applied = self.applied
+        applied[key] = result
+        while len(applied) > MAX_APPLIED_KEYS:
+            del applied[next(iter(applied))]
+
+
+class TenantStore(TenantLog):
+    """A :class:`TenantLog` on disk: a snapshot plus a WAL tail.
+
+    :meth:`append` writes, flushes and fsyncs each record between the
+    two crash fault points before it returns — the WAL's
+    acknowledgment contract.  :meth:`write_snapshot` checkpoints the
+    tenant atomically and truncates the WAL, and :meth:`open` rebuilds
+    the log (seq, term, keys) from the snapshot plus the replayed tail.
+    """
+
+    durable = True
+
+    def __init__(self, path: str, faults: FaultInjector = NO_FAULTS):
+        super().__init__()
+        self.path = path
+        self.faults = faults
         self.base_seq = 0
         self.appends = 0
         self.snapshots = 0
         self.appends_since_snapshot = 0
-        self.applied: dict[str, dict[str, Any]] = {}
         self._wal = None
         # Set by the tenant registry when it installs the tenant: called
         # with each record write's fsync wall time (seconds).  Replicated
@@ -132,30 +248,20 @@ class TenantStore:
     def create(
         cls,
         path: str,
-        name: str,
-        bundle: dict[str, Any],
-        premise_hash: str,
-        options: Optional[dict[str, Any]] = None,
+        snapshot: dict[str, Any],
         faults: FaultInjector = NO_FAULTS,
-        seq: int = 0,
-        term: int = 0,
-        applied: Optional[dict[str, dict[str, Any]]] = None,
     ) -> "TenantStore":
-        """Initialize a fresh tenant directory (snapshot at ``seq``).
+        """Initialize a fresh tenant directory holding ``snapshot``.
 
-        A primary starts at ``seq=0``; a follower bootstrapping from a
-        replicated snapshot passes the primary's ``seq``/``term``/
-        ``applied`` map so its own log resumes exactly where the
-        shipped snapshot left off.
+        The log resumes at the snapshot's seq, term and keys: seq 0 for
+        a new tenant, the primary's position for a follower
+        bootstrapping from a replicated snapshot.
         """
         os.makedirs(path, exist_ok=True)
         store = cls(path, faults)
-        store.seq = seq
-        store.term = term
-        store.base_seq = seq
-        if applied:
-            store.applied.update(applied)
-        store._write_snapshot(name, bundle, premise_hash, options or {})
+        store.resume(snapshot)
+        store.base_seq = store.seq
+        store._write_snapshot(snapshot)
         store._open_wal(truncate=True)
         return store
 
@@ -180,27 +286,14 @@ class TenantStore:
             raise WalCorruption(f"unreadable snapshot at {snapshot_path}: {exc}")
         if not isinstance(snapshot, dict) or "seq" not in snapshot:
             raise WalCorruption(f"malformed snapshot at {snapshot_path}")
-        base_seq = int(snapshot["seq"])
-        store.seq = base_seq
-        store.base_seq = base_seq
-        store.term = int(snapshot.get("term", 0))
-        applied = snapshot.get("applied_keys", {})
-        if isinstance(applied, dict):
-            store.applied.update(applied)
+        store.resume(snapshot)
+        store.base_seq = store.seq
         tail = [
             record for record in store._read_wal()
-            if record["seq"] > base_seq
+            if record["seq"] > store.base_seq
         ]
-        if tail:
-            store.seq = tail[-1]["seq"]
-            store.term = max(
-                store.term,
-                max(int(record.get("term", 0)) for record in tail),
-            )
         for record in tail:
-            key = record.get("key")
-            if key:
-                store.applied[key] = record.get("result") or {}
+            store._advance(record)
         store._open_wal(truncate=False)
         return store, snapshot, tail
 
@@ -210,6 +303,7 @@ class TenantStore:
             self._wal = None
 
     def _open_wal(self, truncate: bool) -> None:
+        self.close()
         wal_path = os.path.join(self.path, WAL_FILE)
         self._wal = open(wal_path, "w" if truncate else "a", encoding="utf-8")
         if truncate:
@@ -255,13 +349,8 @@ class TenantStore:
                 yield record
 
     def read_from(self, after: int) -> Optional[list[dict[str, Any]]]:
-        """WAL records with ``seq > after`` — the replication tailing API.
-
-        Returns ``None`` when ``after`` predates the current snapshot
-        (the requested records were truncated away by a checkpoint), in
-        which case the follower must re-bootstrap from the snapshot
-        instead of tailing.
-        """
+        """WAL records with ``seq > after``; ``None`` when ``after``
+        predates the current snapshot (a checkpoint truncated them)."""
         if after < self.base_seq:
             return None
         return [
@@ -270,123 +359,50 @@ class TenantStore:
 
     # -- the write path ----------------------------------------------------
 
-    def append(
-        self,
-        patch: dict[str, Any],
-        key: Optional[str] = None,
-        result: Optional[dict[str, Any]] = None,
-        trace: Optional[Trace] = None,
-    ) -> dict[str, Any]:
-        """Durably log one applied mutation; returns the full record.
-
-        The record is flushed and fsync'd before this returns — the
-        WAL's acknowledgment contract — with the two crash fault points
-        on either side of the append for the chaos tests.  The caller's
-        ``result`` dict is *not* mutated: the ``seq`` is stamped into a
-        copy, so the durability layer never aliases the server-side
-        response payload.  The returned record (seq, term, patch, key,
-        recorded result) is exactly what replication forwards.
-
-        A ``trace`` stamps its id into the record — the durable half of
-        the request↔mutation link, and what rides the replication
-        stream to the follower's log — and receives a ``wal-fsync``
-        span covering this append's write+fsync.
-        """
+    def append(self, *args: Any, **kwargs: Any) -> dict[str, Any]:
+        """:meth:`TenantLog.append`, between the two crash fault points."""
         self.faults.crash_point(CRASH_BEFORE_WAL_APPEND)
-        seq = self.seq + 1
-        record: dict[str, Any] = {"seq": seq, "term": self.term,
-                                  "patch": patch}
-        if key:
-            record["key"] = key
-        if trace is not None:
-            record["trace"] = trace.trace_id
-        if result is not None:
-            # Stamp the seq into a copy before serializing so a replay
-            # after a reboot returns the same acknowledgment as the
-            # original, without mutating the caller's payload in place.
-            record["result"] = {**result, "seq": seq}
-        fsync_seconds = self._write_record(record)
-        if trace is not None:
-            trace.add_span("wal-fsync", fsync_seconds, seq=seq)
-        if key:
-            self.applied[key] = record.get("result") or {}
+        record = super().append(*args, **kwargs)
         self.faults.crash_point(CRASH_AFTER_WAL_APPEND)
         return record
 
-    def append_replicated(self, record: dict[str, Any]) -> None:
-        """Durably log a record received from the replication stream.
-
-        The record is written verbatim — same ``seq``, same ``term``,
-        same recorded result — so a promoted follower's log is
-        byte-for-byte continuable from the primary's history.  Records
-        must arrive in order; a gap is the caller's (the follower
-        replicator's) job to detect and resolve by resync *before*
-        appending.
-        """
-        seq = int(record["seq"])
-        if seq <= self.seq:
-            raise WalCorruption(
-                f"replicated record seq {seq} does not advance the log "
-                f"(at seq {self.seq})"
-            )
-        self._write_record(dict(record))
-        key = record.get("key")
-        if key:
-            self.applied[key] = record.get("result") or {}
-
-    def _write_record(self, record: dict[str, Any]) -> float:
-        """Write + flush + fsync one record; returns the wall time."""
+    def _persist(
+        self, record: dict[str, Any], trace: Optional[Trace] = None
+    ) -> None:
+        """Write + flush + fsync one record; a ``trace`` receives a
+        ``wal-fsync`` span covering it."""
         start = time.perf_counter()
         self._wal.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._wal.flush()
         os.fsync(self._wal.fileno())
         elapsed = time.perf_counter() - start
-        self.seq = int(record["seq"])
-        self.term = max(self.term, int(record.get("term", 0)))
         self.appends += 1
         self.appends_since_snapshot += 1
         if self.on_fsync is not None:
             self.on_fsync(elapsed)
-        return elapsed
+        if trace is not None:
+            trace.add_span("wal-fsync", elapsed, seq=record["seq"])
 
     # -- checkpoints -------------------------------------------------------
 
-    def write_snapshot(
-        self, name: str, bundle: dict[str, Any], premise_hash: str,
-        options: Optional[dict[str, Any]] = None,
-    ) -> None:
-        """Checkpoint the full tenant state and truncate the WAL.
+    def write_snapshot(self, snapshot: dict[str, Any]) -> None:
+        """Checkpoint ``snapshot`` and truncate the WAL.
 
-        The snapshot covers everything up to the current ``seq``; the
+        ``snapshot`` is the tenant's state at this log's ``seq``; the
         rename is atomic, and a crash before the truncation is handled
         by recovery's ``seq`` filter.
         """
-        if len(self.applied) > MAX_APPLIED_KEYS:
-            keep = list(self.applied.items())[-MAX_APPLIED_KEYS:]
-            self.applied = dict(keep)
-        self._write_snapshot(name, bundle, premise_hash, options or {})
+        self._write_snapshot(snapshot)
         self._open_wal(truncate=True)
         self.base_seq = self.seq
         self.snapshots += 1
         self.appends_since_snapshot = 0
 
-    def _write_snapshot(
-        self, name: str, bundle: dict[str, Any], premise_hash: str,
-        options: dict[str, Any],
-    ) -> None:
-        payload = {
-            "name": name,
-            "seq": self.seq,
-            "term": self.term,
-            "premise_hash": premise_hash,
-            "bundle": bundle,
-            "options": options,
-            "applied_keys": dict(self.applied),
-        }
+    def _write_snapshot(self, snapshot: dict[str, Any]) -> None:
         snapshot_path = os.path.join(self.path, SNAPSHOT_FILE)
         tmp_path = snapshot_path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, separators=(",", ":"))
+            json.dump(snapshot, fp, separators=(",", ":"))
             fp.flush()
             os.fsync(fp.fileno())
         os.replace(tmp_path, snapshot_path)
@@ -462,20 +478,10 @@ class StateDir:
             self.tenants_root, urllib.parse.quote(name, safe="")
         )
 
-    def create_tenant(
-        self,
-        name: str,
-        bundle: dict[str, Any],
-        premise_hash: str,
-        options: Optional[dict[str, Any]] = None,
-        seq: int = 0,
-        term: int = 0,
-        applied: Optional[dict[str, dict[str, Any]]] = None,
-    ) -> TenantStore:
+    def create_tenant(self, snapshot: dict[str, Any]) -> TenantStore:
+        """A fresh store for the tenant ``snapshot`` names, holding it."""
         return TenantStore.create(
-            self._tenant_path(name), name, bundle, premise_hash,
-            options=options, faults=self.faults,
-            seq=seq, term=term, applied=applied,
+            self._tenant_path(snapshot["name"]), snapshot, self.faults
         )
 
     def drop_tenant(self, name: str) -> None:

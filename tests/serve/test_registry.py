@@ -11,6 +11,7 @@ from repro.deps.ind import IND
 from repro.engine import ReasoningSession
 from repro.model.schema import DatabaseSchema
 from repro.serve import ArtifactCache, ServeError, StateDir, TenantRegistry
+from repro.serve import wal
 from repro.serve.wal import SNAPSHOT_FILE, WAL_FILE, WalCorruption
 
 
@@ -269,6 +270,52 @@ class TestDurableLifecycle:
             assert tenant.replayed_mutations == 1
         finally:
             rebooted.close()
+
+
+class TestIdempotencyKeyMap:
+    """Each tenant's log keeps the newest ``MAX_APPLIED_KEYS`` keys."""
+
+    TOGGLE = "EMP: NAME -> DEPT"
+    FRESH = "PERSON[NAME] <= EMP[NAME]"
+
+    def toggle(self, tenant, count):
+        for index in range(count):
+            kind = "add" if index % 2 == 0 else "retract"
+            tenant.mutate(kind, [self.TOGGLE], key=f"toggle-{index}")
+
+    def test_retry_replays_after_a_snapshot_trims_the_key_map(
+        self, tmp_path, schema, premises, monkeypatch
+    ):
+        monkeypatch.setattr(wal, "MAX_APPLIED_KEYS", 16)
+        registry = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        try:
+            tenant = registry.create("app", schema, premises)
+            # More keyed writes than the default snapshot_every (64), so
+            # a checkpoint runs while the key map is over its cap.
+            self.toggle(tenant, 80)
+            assert tenant.store.snapshots >= 1
+            before = len(tenant.session.dependencies)
+            first = tenant.mutate("add", [self.FRESH], key="fresh")
+            retry = tenant.mutate("add", [self.FRESH], key="fresh")
+            assert retry["idempotent_replay"] is True
+            assert retry["seq"] == first["seq"]
+            assert len(tenant.session.dependencies) == before + 1
+        finally:
+            registry.close()
+
+    def test_in_memory_key_map_keeps_only_the_newest_keys(
+        self, schema, premises, monkeypatch
+    ):
+        monkeypatch.setattr(wal, "MAX_APPLIED_KEYS", 16)
+        registry = TenantRegistry()
+        tenant = registry.create("app", schema, premises)
+        self.toggle(tenant, 100)
+        newest = [f"toggle-{index}" for index in range(84, 100)]
+        # What a follower bootstrap ships is capped too.
+        bootstrap = registry.replication_snapshot_of("app")
+        assert list(bootstrap["applied_keys"]) == newest
+        replay = tenant.mutate("retract", [self.TOGGLE], key="toggle-99")
+        assert replay["idempotent_replay"] is True
 
 
 def rewrite_json(path, edit):

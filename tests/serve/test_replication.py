@@ -8,6 +8,7 @@ multi-process deployment runs; only the process boundary is missing,
 and ``test_replication_chaos.py`` covers that with kill -9.
 """
 
+import asyncio
 import time
 
 import pytest
@@ -21,7 +22,13 @@ from repro.serve import (
     ServeClient,
     ServeError,
 )
-from repro.serve.faults import NO_FAULTS, PARTITION_REPLICATION, REPLICATION_LAG
+from repro.serve.faults import (
+    DROP_CONNECTION,
+    NO_FAULTS,
+    PARTITION_REPLICATION,
+    REPLICATION_LAG,
+)
+from repro.serve.replication import replication_request
 from repro.serve.wal import StateDir
 
 BUNDLE = {
@@ -153,7 +160,77 @@ class TestBootstrapAndForward:
                 # The replicated key map makes the same replay work on
                 # the follower's copy of history after a failover.
                 tenant = follower.server.registry.tenants["app"]
-                assert "pinned" in tenant.applied
+                assert "pinned" in tenant.store.applied
+
+
+BAD_REPLIES = {
+    "short-body": b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n{\"tr",
+    "bad-content-length":
+        b"HTTP/1.1 200 OK\r\nContent-Length: twelve\r\n\r\n{}",
+    "non-json-body": b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+}
+
+
+class TestBadReplies:
+    """A reply cut short or unparsable is a network failure: every
+    caller already counts an ``OSError`` as a missed beat or a lagging
+    follower."""
+
+    @pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=BAD_REPLIES)
+    def test_bad_reply_raises_connection_error(self, reply):
+        async def answer(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(reply)
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                with pytest.raises(ConnectionError):
+                    await replication_request(
+                        f"127.0.0.1:{port}", "GET", "/replication/heartbeat"
+                    )
+
+        asyncio.run(scenario())
+
+    def test_cut_short_heartbeat_is_a_missed_beat(self):
+        with BackgroundServer() as primary:
+            ServeClient(port=primary.port).create_tenant("app", BUNDLE)
+            # The follower's first heartbeat is the request that drops.
+            primary.server.faults = FaultInjector(f"{DROP_CONNECTION}:once")
+            with follower_of(primary) as follower:
+                wait_until(
+                    lambda: "app" in follower.server.registry.tenants,
+                    message="follower tenant bootstrap",
+                )
+                assert primary.server.faults.fired[DROP_CONNECTION] == 1
+                assert follower.server.follower.heartbeats_missed == 1
+
+    def test_cut_short_forward_reply_still_acknowledges(self):
+        with BackgroundServer() as primary:
+            client = ServeClient(port=primary.port)
+            client.create_tenant("app", BUNDLE)
+            with follower_of(primary) as follower:
+                wait_until(
+                    lambda: "app" in follower.server.registry.tenants,
+                    message="follower tenant bootstrap",
+                )
+                # The primary's forward is the request that drops.
+                follower.server.faults = FaultInjector(
+                    f"{DROP_CONNECTION}:once"
+                )
+                result = client.add("app", [EXTRA_DEP], key="cut")
+                assert result["seq"] == 1
+                assert "idempotent_replay" not in result
+                [handle] = primary.server.replication.followers.values()
+                assert handle.state == "lagging"
+                replay = client.add("app", [EXTRA_DEP], key="cut")
+                assert replay["idempotent_replay"] is True
+                tenant = primary.server.registry.tenants["app"]
+                control = control_session([EXTRA_DEP])
+                assert tenant.session.premise_hash == control.premise_hash
 
 
 class TestLagBoundedReads:

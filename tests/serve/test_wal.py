@@ -29,9 +29,23 @@ BUNDLE = {
 }
 
 
-def make_store(tmp_path, **kwargs):
+def snapshot_of(premise_hash, store=None, name="t", term=0):
+    """A snapshot payload for ``BUNDLE`` at ``store``'s seq, term and keys
+    (at seq 0 and ``term`` without a store)."""
+    return {
+        "name": name,
+        "seq": store.seq if store else 0,
+        "term": store.term if store else term,
+        "premise_hash": premise_hash,
+        "bundle": BUNDLE,
+        "options": {},
+        "applied_keys": dict(store.applied) if store else {},
+    }
+
+
+def make_store(tmp_path, term=0):
     return TenantStore.create(
-        str(tmp_path / "t"), "t", BUNDLE, "hash0", **kwargs
+        str(tmp_path / "t"), snapshot_of("hash0", term=term)
     )
 
 
@@ -136,7 +150,7 @@ class TestTenantStore:
     def test_snapshot_truncates_wal_and_filters_tail(self, tmp_path):
         store = make_store(tmp_path)
         store.append({"add": ["R: A -> B"]})
-        store.write_snapshot("t", BUNDLE, "hash1")
+        store.write_snapshot(snapshot_of("hash1", store))
         assert store.appends_since_snapshot == 0
         assert (tmp_path / "t" / WAL_FILE).read_text() == ""
         store.append({"retract": ["R: A -> B"]})
@@ -244,17 +258,25 @@ class TestTenantStore:
     def test_snapshot_trims_applied_keys(self, tmp_path):
         store = make_store(tmp_path)
         for index in range(MAX_APPLIED_KEYS + 10):
-            store.applied[f"key{index}"] = {"version": index}
-        store.write_snapshot("t", BUNDLE, "hash1")
+            store.append({}, key=f"key{index}", result={"version": index})
+        store.write_snapshot(snapshot_of("hash1", store))
         assert len(store.applied) == MAX_APPLIED_KEYS
         assert "key0" not in store.applied
         assert f"key{MAX_APPLIED_KEYS + 9}" in store.applied
         store.close()
 
+    def test_snapshot_closes_the_wal_handle_it_replaces(self, tmp_path):
+        store = make_store(tmp_path)
+        replaced = store._wal
+        store.write_snapshot(snapshot_of("hash1", store))
+        assert replaced.closed
+        assert not store._wal.closed
+        store.close()
+
     def test_read_from_returns_none_below_snapshot_base(self, tmp_path):
         store = make_store(tmp_path)
         store.append({"add": ["R: A -> B"]})
-        store.write_snapshot("t", BUNDLE, "hash1")  # truncates the WAL
+        store.write_snapshot(snapshot_of("hash1", store))  # truncates the WAL
         store.append({"retract": ["R: A -> B"]})
         # Tailing after the snapshot base works; tailing before it
         # must signal a resync (the records no longer exist).
@@ -269,7 +291,7 @@ class TestTenantStore:
         store = make_store(tmp_path, term=3)
         record = store.append({"add": ["R: A -> B"]})
         assert record["term"] == 3
-        store.write_snapshot("t", BUNDLE, "hash1")
+        store.write_snapshot(snapshot_of("hash1", store))
         store.close()
 
         reopened, snapshot, _ = TenantStore.open(str(tmp_path / "t"))
@@ -283,7 +305,7 @@ class TestTenantStore:
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         store = make_store(tmp_path)
-        store.write_snapshot("t", BUNDLE, "hash1")
+        store.write_snapshot(snapshot_of("hash1", store))
         store.close()
         assert sorted(os.listdir(tmp_path / "t")) == [
             SNAPSHOT_FILE, WAL_FILE
@@ -293,7 +315,7 @@ class TestTenantStore:
 class TestStateDir:
     def test_tenant_names_are_path_safe(self, tmp_path):
         state = StateDir(str(tmp_path))
-        store = state.create_tenant("a/b c", BUNDLE, "hash0")
+        store = state.create_tenant(snapshot_of("hash0", name="a/b c"))
         store.close()
         [(name, store2, _snapshot, tail)] = state.recover()
         assert name == "a/b c"
@@ -305,7 +327,7 @@ class TestStateDir:
     def test_recover_is_sorted_and_drop_removes(self, tmp_path):
         state = StateDir(str(tmp_path))
         for name in ("zeta", "alpha"):
-            state.create_tenant(name, BUNDLE, "hash0").close()
+            state.create_tenant(snapshot_of("hash0", name=name)).close()
         names = [entry[0] for entry in state.recover()]
         assert names == ["alpha", "zeta"]
         state.drop_tenant("zeta")
