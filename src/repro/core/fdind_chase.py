@@ -34,6 +34,14 @@ Two evaluation strategies share the rule semantics:
 Both strategies fire the same logical rule instances in the same round
 structure, so they decide identically and chase to isomorphic
 fixpoints (asserted over random instances by the property suite).
+
+A :class:`ChaseEngine` is compiled once per premise set (validated
+rules and their column positions) and keeps no per-run state, so it
+answers any number of implication questions
+(:meth:`ChaseEngine.implies`), each running only the rules reachable
+from the relation its start tuples are seeded in
+(:meth:`ChaseEngine.reaching`).  :func:`chase_implies` is the
+one-question form.
 """
 
 from __future__ import annotations
@@ -214,7 +222,11 @@ class _SemiNaiveState:
         self.logs: dict[str, list[tuple[int, ...]]] = {
             rel: list(rows) for rel, rows in instance.relations.items()
         }
-        self.rows_by_value: dict[int, set[tuple[str, tuple[int, ...]]]] = {}
+        # Buckets are insertion-ordered dicts, not sets: ``merge``
+        # re-journals a bucket's rows in its iteration order, and a set
+        # of ``(relation name, row)`` pairs iterates in an order that
+        # depends on the per-process string hash seed.
+        self.rows_by_value: dict[int, dict[tuple[str, tuple[int, ...]], None]] = {}
         for rel, rows in instance.relations.items():
             for row in rows:
                 self._index_row(rel, row)
@@ -237,14 +249,14 @@ class _SemiNaiveState:
     # -- row bookkeeping ---------------------------------------------------
 
     def _index_row(self, rel: str, row: tuple[int, ...]) -> None:
-        for value in set(row):
-            self.rows_by_value.setdefault(value, set()).add((rel, row))
+        for value in dict.fromkeys(row):
+            self.rows_by_value.setdefault(value, {})[(rel, row)] = None
 
     def _unindex_row(self, rel: str, row: tuple[int, ...]) -> None:
-        for value in set(row):
+        for value in dict.fromkeys(row):
             bucket = self.rows_by_value.get(value)
             if bucket is not None:
-                bucket.discard((rel, row))
+                bucket.pop((rel, row), None)
 
     def _track_projections(self, rel: str, row: tuple[int, ...], delta: int) -> None:
         """Adjust the projection counts of every IND targeting ``rel``."""
@@ -392,6 +404,91 @@ class _SemiNaiveState:
         return changed
 
 
+class _NaiveState:
+    """Per-run state of the naive strategy: the textbook rescan.
+
+    Nothing persists across rule applications but the work counter —
+    every application re-reads its relations in full and re-derives
+    its column positions from the schema.
+    """
+
+    def __init__(self, engine: "ChaseEngine", instance: ChaseInstance):
+        self.schema = engine.schema
+        self.instance = instance
+        self.rows_scanned = 0
+
+    def apply_fd(self, _index: int, fd: FD) -> bool:
+        instance = self.instance
+        rel_schema = self.schema.relation(fd.relation)
+        lhs_pos = rel_schema.positions(fd.lhs)
+        rhs_pos = rel_schema.positions(fd.rhs)
+        changed = False
+        groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for row in list(instance.relations[fd.relation]):
+            self.rows_scanned += 1
+            row = instance.canonical_row(row)
+            key = tuple(row[p] for p in lhs_pos)
+            image = tuple(row[p] for p in rhs_pos)
+            other = groups.get(key)
+            if other is None:
+                groups[key] = image
+                continue
+            for a, b in zip(other, image):
+                if instance.find(a) != instance.find(b):
+                    instance.merge(a, b, fd)
+                    changed = True
+        if changed:
+            instance.normalize()
+        return changed
+
+    def apply_rd(self, _index: int, rd: RD) -> bool:
+        instance = self.instance
+        rel_schema = self.schema.relation(rd.relation)
+        changed = False
+        for row in list(instance.relations[rd.relation]):
+            self.rows_scanned += 1
+            row = instance.canonical_row(row)
+            for left, right in rd.pairs:
+                a = row[rel_schema.position(left)]
+                b = row[rel_schema.position(right)]
+                if instance.find(a) != instance.find(b):
+                    instance.merge(a, b, rd)
+                    changed = True
+        if changed:
+            instance.normalize()
+        return changed
+
+    def apply_ind(self, _index: int, ind: IND) -> bool:
+        instance = self.instance
+        src_schema = self.schema.relation(ind.lhs_relation)
+        dst_schema = self.schema.relation(ind.rhs_relation)
+        src_pos = src_schema.positions(ind.lhs_attributes)
+        dst_pos = dst_schema.positions(ind.rhs_attributes)
+        existing = {
+            tuple(row[p] for p in dst_pos)
+            for row in (
+                instance.canonical_row(r)
+                for r in instance.relations[ind.rhs_relation]
+            )
+        }
+        changed = False
+        for row in list(instance.relations[ind.lhs_relation]):
+            self.rows_scanned += 1
+            row = instance.canonical_row(row)
+            needed = tuple(row[p] for p in src_pos)
+            if needed in existing:
+                continue
+            new_row: list[int] = [
+                instance.fresh_null() for _ in range(dst_schema.arity)
+            ]
+            for value, pos in zip(needed, dst_pos):
+                new_row[pos] = value
+            instance.add_row(ind.rhs_relation, new_row, ind)
+            existing.add(needed)
+            changed = True
+        return changed
+
+
 @dataclass
 class ChaseOutcome:
     """Result of running the chase to fixpoint (or budget).
@@ -417,8 +514,21 @@ def _no_tick() -> None:
     """The default cooperative check: free, never fires."""
 
 
+def _kept(rules: list, compiled: list, keep) -> tuple[list, list]:
+    """The rules satisfying ``keep``, with their compiled positions,
+    in their original order."""
+    indices = [i for i, rule in enumerate(rules) if keep(rule)]
+    return [rules[i] for i in indices], [compiled[i] for i in indices]
+
+
 class ChaseEngine:
-    """Runs FD/IND/RD chase steps over a :class:`ChaseInstance`."""
+    """Runs FD/IND/RD chase steps over a :class:`ChaseInstance`.
+
+    The engine holds only the validated premises and their compiled
+    column positions; every run keeps its state (journals, indexes,
+    the ``rows_scanned`` counter) to itself, so one engine can serve
+    any number of runs, concurrent ones included.
+    """
 
     def __init__(
         self,
@@ -467,8 +577,7 @@ class ChaseEngine:
             for rd in self.rds
         ]
         self._ind_positions = []
-        self._inds_into: dict[str, list[int]] = {}
-        for index, ind in enumerate(self.inds):
+        for ind in self.inds:
             src_schema = self.schema.relation(ind.lhs_relation)
             dst_schema = self.schema.relation(ind.rhs_relation)
             self._ind_positions.append(
@@ -478,78 +587,72 @@ class ChaseEngine:
                     dst_schema.arity,
                 )
             )
+        self._index_inds_into()
+        self._reaching_memo: dict[str, ChaseEngine] = {}
+
+    def _index_inds_into(self) -> None:
+        self._inds_into: dict[str, list[int]] = {}
+        for index, ind in enumerate(self.inds):
             self._inds_into.setdefault(ind.rhs_relation, []).append(index)
-        self.rows_scanned = 0
 
-    # -- single steps (naive reference) ------------------------------------
+    # -- rule pruning ---------------------------------------------------------
 
-    def _apply_fd(self, instance: ChaseInstance, fd: FD) -> bool:
-        rel_schema = self.schema.relation(fd.relation)
-        lhs_pos = rel_schema.positions(fd.lhs)
-        rhs_pos = rel_schema.positions(fd.rhs)
-        changed = False
-        groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for row in list(instance.relations[fd.relation]):
-            self.rows_scanned += 1
-            row = instance.canonical_row(row)
-            key = tuple(row[p] for p in lhs_pos)
-            image = tuple(row[p] for p in rhs_pos)
-            other = groups.get(key)
-            if other is None:
-                groups[key] = image
-                continue
-            for a, b in zip(other, image):
-                if instance.find(a) != instance.find(b):
-                    instance.merge(a, b, fd)
-                    changed = True
-        if changed:
-            instance.normalize()
-        return changed
+    def reaching(self, relation: str) -> "ChaseEngine":
+        """This engine cut down to the rules a chase seeded in ``relation``
+        can fire.
 
-    def _apply_rd(self, instance: ChaseInstance, rd: RD) -> bool:
-        rel_schema = self.schema.relation(rd.relation)
-        changed = False
-        for row in list(instance.relations[rd.relation]):
-            self.rows_scanned += 1
-            row = instance.canonical_row(row)
-            for left, right in rd.pairs:
-                a = row[rel_schema.position(left)]
-                b = row[rel_schema.position(right)]
-                if instance.find(a) != instance.find(b):
-                    instance.merge(a, b, rd)
-                    changed = True
-        if changed:
-            instance.normalize()
-        return changed
+        Only INDs add rows, and only to their right-hand relation, so a
+        chase whose instance starts with rows in ``relation`` alone only
+        ever populates the relations reachable from it along IND
+        left-to-right edges.  Every FD and RD over another relation,
+        and every IND reading from one, has an empty journal for the
+        whole run and never fires: dropping them changes no round,
+        event, row count or budget exit.  The restriction filters the
+        compiled rule lists (nothing is re-validated or recompiled), is
+        memoized per relation, and is ``self`` when nothing is pruned.
+        """
+        engine = self._reaching_memo.get(relation)
+        if engine is None:
+            successors: dict[str, list[str]] = {}
+            for ind in self.inds:
+                successors.setdefault(ind.lhs_relation, []).append(
+                    ind.rhs_relation
+                )
+            reached = {relation}
+            stack = [relation]
+            while stack:
+                for nxt in successors.get(stack.pop(), ()):
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        stack.append(nxt)
+            engine = self._restricted(reached)
+            self._reaching_memo[relation] = engine
+        return engine
 
-    def _apply_ind(self, instance: ChaseInstance, ind: IND) -> bool:
-        src_schema = self.schema.relation(ind.lhs_relation)
-        dst_schema = self.schema.relation(ind.rhs_relation)
-        src_pos = src_schema.positions(ind.lhs_attributes)
-        dst_pos = dst_schema.positions(ind.rhs_attributes)
-        existing = {
-            tuple(row[p] for p in dst_pos)
-            for row in (
-                instance.canonical_row(r)
-                for r in instance.relations[ind.rhs_relation]
-            )
-        }
-        changed = False
-        for row in list(instance.relations[ind.lhs_relation]):
-            self.rows_scanned += 1
-            row = instance.canonical_row(row)
-            needed = tuple(row[p] for p in src_pos)
-            if needed in existing:
-                continue
-            new_row: list[int] = [
-                instance.fresh_null() for _ in range(dst_schema.arity)
-            ]
-            for value, pos in zip(needed, dst_pos):
-                new_row[pos] = value
-            instance.add_row(ind.rhs_relation, new_row, ind)
-            existing.add(needed)
-            changed = True
-        return changed
+    def _restricted(self, relations: set[str]) -> "ChaseEngine":
+        fds, fd_positions = _kept(
+            self.fds, self._fd_positions, lambda fd: fd.relation in relations
+        )
+        rds, rd_positions = _kept(
+            self.rds, self._rd_positions, lambda rd: rd.relation in relations
+        )
+        inds, ind_positions = _kept(
+            self.inds, self._ind_positions,
+            lambda ind: ind.lhs_relation in relations,
+        )
+        if (len(fds), len(rds), len(inds)) == (
+            len(self.fds), len(self.rds), len(self.inds)
+        ):
+            return self
+        sub = ChaseEngine.__new__(ChaseEngine)
+        sub.schema = self.schema
+        sub.strategy = self.strategy
+        sub.fds, sub._fd_positions = fds, fd_positions
+        sub.rds, sub._rd_positions = rds, rd_positions
+        sub.inds, sub._ind_positions = inds, ind_positions
+        sub._index_inds_into()
+        sub._reaching_memo = {}
+        return sub
 
     # -- full runs ------------------------------------------------------------
 
@@ -582,80 +685,38 @@ class ChaseEngine:
         the default) or naive (full rescan) evaluation; both apply the
         same rule instances in the same round structure.
         """
-        self.rows_scanned = 0
         if self.strategy == "semi-naive":
-            return self._run_semi_naive(instance, max_rounds, max_tuples,
-                                        goal, tick)
-        return self._run_naive(instance, max_rounds, max_tuples, goal, tick)
-
-    def _run_naive(
-        self,
-        instance: ChaseInstance,
-        max_rounds: int,
-        max_tuples: int,
-        goal,
-        tick,
-    ) -> ChaseOutcome:
-        return self._drive(
-            instance, max_rounds, max_tuples, goal,
-            fd_step=lambda _i, fd: self._apply_fd(instance, fd),
-            rd_step=lambda _i, rd: self._apply_rd(instance, rd),
-            ind_step=lambda _i, ind: self._apply_ind(instance, ind),
-            scanned=lambda: self.rows_scanned,
-            tick=tick,
-        )
-
-    def _run_semi_naive(
-        self,
-        instance: ChaseInstance,
-        max_rounds: int,
-        max_tuples: int,
-        goal,
-        tick,
-    ) -> ChaseOutcome:
-        state = _SemiNaiveState(self, instance)
-
-        def scanned() -> int:
-            self.rows_scanned = state.rows_scanned
-            return state.rows_scanned
-
-        return self._drive(
-            instance, max_rounds, max_tuples, goal,
-            fd_step=state.apply_fd,
-            rd_step=state.apply_rd,
-            ind_step=state.apply_ind,
-            scanned=scanned,
-            tick=tick,
-        )
+            state = _SemiNaiveState(self, instance)
+        else:
+            state = _NaiveState(self, instance)
+        return self._drive(state, max_rounds, max_tuples, goal, tick)
 
     def _drive(
         self,
-        instance: ChaseInstance,
+        state,
         max_rounds: int,
         max_tuples: int,
         goal,
-        fd_step,
-        rd_step,
-        ind_step,
-        scanned,
         tick=None,
     ) -> ChaseOutcome:
         """The round loop both strategies share.
 
-        ``*_step(index, rule) -> changed`` applies one rule (naive:
-        engine methods; semi-naive: state methods); ``scanned()``
-        reports the work counter.  One driver is what guarantees the
-        two strategies fire rules in the same round structure.
-        ``tick`` (when given) is polled before every rule application,
-        bounding the time between cooperative checks by one rule's
-        scan over the instance.
+        ``state.apply_*(index, rule) -> changed`` applies one rule
+        (:class:`_NaiveState` rescans, :class:`_SemiNaiveState` reads
+        its deltas) and ``state.rows_scanned`` is the run's work
+        counter.  Sharing this one loop is what guarantees the two
+        strategies fire rules in the same round structure.  ``tick``
+        (when given) is polled before every rule application, bounding
+        the time between cooperative checks by one rule's scan over the
+        instance.
         """
         if tick is None:
             tick = _no_tick
+        instance = state.instance
         rounds = 0
         if goal is not None and goal(instance):
             return ChaseOutcome(instance, rounds, reached_fixpoint=False,
-                                rows_scanned=scanned())
+                                rows_scanned=state.rows_scanned)
         while rounds < max_rounds:
             rounds += 1
             changed = False
@@ -666,35 +727,34 @@ class ChaseEngine:
                 for index, fd in enumerate(self.fds):
                     tick()
                     try:
-                        if fd_step(index, fd):
+                        if state.apply_fd(index, fd):
                             equality_changed = True
                     except DependencyError as exc:
                         return ChaseOutcome(
                             instance, rounds, reached_fixpoint=False,
                             failed=True, failure_reason=str(exc),
-                            rows_scanned=scanned(),
+                            rows_scanned=state.rows_scanned,
                         )
                 for index, rd in enumerate(self.rds):
                     tick()
                     try:
-                        if rd_step(index, rd):
+                        if state.apply_rd(index, rd):
                             equality_changed = True
                     except DependencyError as exc:
                         return ChaseOutcome(
                             instance, rounds, reached_fixpoint=False,
                             failed=True, failure_reason=str(exc),
-                            rows_scanned=scanned(),
+                            rows_scanned=state.rows_scanned,
                         )
                 changed = changed or equality_changed
             for index, ind in enumerate(self.inds):
                 tick()
-                if ind_step(index, ind):
+                if state.apply_ind(index, ind):
                     changed = True
             if goal is not None and goal(instance):
                 return ChaseOutcome(instance, rounds, reached_fixpoint=False,
-                                    rows_scanned=scanned())
+                                    rows_scanned=state.rows_scanned)
             if instance.total_tuples() > max_tuples:
-                scanned()
                 raise ChaseBudgetExceeded(
                     f"chase exceeded {max_tuples} tuples after {rounds} rounds",
                     rounds=rounds,
@@ -702,13 +762,108 @@ class ChaseEngine:
                 )
             if not changed:
                 return ChaseOutcome(instance, rounds, reached_fixpoint=True,
-                                    rows_scanned=scanned())
-        scanned()
+                                    rows_scanned=state.rows_scanned)
         raise ChaseBudgetExceeded(
             f"chase did not converge within {max_rounds} rounds",
             rounds=rounds,
             tuples=instance.total_tuples(),
         )
+
+    # -- implication testing ------------------------------------------------
+
+    def implies(
+        self,
+        target: Dependency,
+        max_rounds: int = 200,
+        max_tuples: int = 100_000,
+        tick=None,
+    ) -> "ImplicationCertificate":
+        """Decide ``premises |= target`` (unrestricted) by chasing.
+
+        Seeds a fresh instance with the target's left-hand side (two
+        tuples agreeing on an FD's lhs, one tuple for an IND or RD) and
+        chases it under :meth:`reaching` for the seeded relation — the
+        target's ``relation`` for an FD or RD, its ``lhs_relation`` for
+        an IND — so each question runs only the rules it can fire.  The
+        result equals a run of the full engine in verdict, rounds,
+        events, rows scanned and final instance, budget exits included.
+
+        Terminating chases give exact answers; divergence raises
+        :class:`ChaseBudgetExceeded`.  ``tick`` (an optional
+        cooperative deadline check) is polled before every rule
+        application; see :meth:`run`.  The engine is not modified, so
+        one engine answers any number of questions.
+        """
+        target.validate(self.schema)
+        schema = self.schema
+        instance = ChaseInstance(schema)
+
+        if isinstance(target, FD):
+            start = target.relation
+            rel_schema = schema.relation(start)
+            shared = {
+                attr: instance.fresh_null(f"x_{attr}") for attr in target.lhs
+            }
+            row1 = []
+            row2 = []
+            for attr in rel_schema.attributes:
+                if attr in shared:
+                    row1.append(shared[attr])
+                    row2.append(shared[attr])
+                else:
+                    row1.append(instance.fresh_null(f"{attr.lower()}1"))
+                    row2.append(instance.fresh_null(f"{attr.lower()}2"))
+            instance.add_row(start, row1)
+            instance.add_row(start, row2)
+            rhs_pos = rel_schema.positions(target.rhs)
+
+            def goal(inst: ChaseInstance) -> bool:
+                return all(inst.same(row1[p], row2[p]) for p in rhs_pos)
+
+        elif isinstance(target, RD):
+            start = target.relation
+            rel_schema = schema.relation(start)
+            row = [instance.fresh_null(f"{attr.lower()}0")
+                   for attr in rel_schema.attributes]
+            instance.add_row(start, row)
+            pair_pos = [
+                (rel_schema.position(left), rel_schema.position(right))
+                for left, right in target.pairs
+            ]
+
+            def goal(inst: ChaseInstance) -> bool:
+                return all(inst.same(row[lp], row[rp]) for lp, rp in pair_pos)
+
+        elif isinstance(target, IND):
+            start = target.lhs_relation
+            src_schema = schema.relation(start)
+            row = [instance.fresh_null(f"{attr.lower()}0")
+                   for attr in src_schema.attributes]
+            instance.add_row(start, row)
+            dst_schema = schema.relation(target.rhs_relation)
+            src_pos = src_schema.positions(target.lhs_attributes)
+            dst_pos = dst_schema.positions(target.rhs_attributes)
+
+            def goal(inst: ChaseInstance) -> bool:
+                wanted = tuple(inst.find(row[p]) for p in src_pos)
+                return any(
+                    tuple(inst.find(r[p]) for p in dst_pos) == wanted
+                    for r in inst.relations[target.rhs_relation]
+                )
+
+        else:
+            raise UnsupportedDependencyError(f"cannot chase target {target}")
+
+        outcome = self.reaching(start).run(
+            instance, max_rounds=max_rounds, max_tuples=max_tuples,
+            goal=goal, tick=tick,
+        )
+        implied = goal(instance)
+        detail = ""
+        if isinstance(target, FD):
+            detail = ("rhs values equated" if implied
+                      else "rhs values distinct at fixpoint")
+        return ImplicationCertificate(implied, outcome, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -742,86 +897,19 @@ def chase_implies(
 ) -> ImplicationCertificate:
     """Decide ``premises |= target`` (unrestricted) by chasing.
 
-    Terminating chases give exact answers; divergence raises
-    :class:`ChaseBudgetExceeded`.  The target may be an FD, IND, or RD.
-    ``tick`` (an optional cooperative deadline check) is polled before
-    every rule application; see :meth:`ChaseEngine.run`.
+    Builds a :class:`ChaseEngine` over ``premises`` and asks it once
+    (:meth:`ChaseEngine.implies`); callers with many questions over one
+    premise set should keep the engine instead, as
+    :class:`~repro.engine.index.PremiseIndex` does.  Terminating chases
+    give exact answers; divergence raises :class:`ChaseBudgetExceeded`.
+    The target may be an FD, IND, or RD.  ``tick`` (an optional
+    cooperative deadline check) is polled before every rule
+    application; see :meth:`ChaseEngine.run`.
     """
-    target.validate(schema)
     engine = ChaseEngine(schema, premises, strategy=strategy)
-    instance = ChaseInstance(schema)
-
-    if isinstance(target, FD):
-        rel_schema = schema.relation(target.relation)
-        shared = {
-            attr: instance.fresh_null(f"x_{attr}") for attr in target.lhs
-        }
-        row1 = []
-        row2 = []
-        for attr in rel_schema.attributes:
-            if attr in shared:
-                row1.append(shared[attr])
-                row2.append(shared[attr])
-            else:
-                row1.append(instance.fresh_null(f"{attr.lower()}1"))
-                row2.append(instance.fresh_null(f"{attr.lower()}2"))
-        instance.add_row(target.relation, row1)
-        instance.add_row(target.relation, row2)
-        rhs_pos = rel_schema.positions(target.rhs)
-
-        def fd_goal(inst: ChaseInstance) -> bool:
-            return all(inst.same(row1[p], row2[p]) for p in rhs_pos)
-
-        outcome = engine.run(
-            instance, max_rounds=max_rounds, max_tuples=max_tuples,
-            goal=fd_goal, tick=tick,
-        )
-        implied = fd_goal(instance)
-        return ImplicationCertificate(
-            implied, outcome,
-            detail="rhs values equated" if implied else "rhs values distinct at fixpoint",
-        )
-
-    if isinstance(target, RD):
-        rel_schema = schema.relation(target.relation)
-        row = [instance.fresh_null(f"{attr.lower()}0") for attr in rel_schema.attributes]
-        instance.add_row(target.relation, row)
-        pair_pos = [
-            (rel_schema.position(left), rel_schema.position(right))
-            for left, right in target.pairs
-        ]
-
-        def rd_goal(inst: ChaseInstance) -> bool:
-            return all(inst.same(row[lp], row[rp]) for lp, rp in pair_pos)
-
-        outcome = engine.run(
-            instance, max_rounds=max_rounds, max_tuples=max_tuples,
-            goal=rd_goal, tick=tick,
-        )
-        return ImplicationCertificate(rd_goal(instance), outcome)
-
-    if isinstance(target, IND):
-        src_schema = schema.relation(target.lhs_relation)
-        row = [instance.fresh_null(f"{attr.lower()}0") for attr in src_schema.attributes]
-        instance.add_row(target.lhs_relation, row)
-        dst_schema = schema.relation(target.rhs_relation)
-        src_pos = src_schema.positions(target.lhs_attributes)
-        dst_pos = dst_schema.positions(target.rhs_attributes)
-
-        def ind_goal(inst: ChaseInstance) -> bool:
-            wanted = tuple(inst.find(row[p]) for p in src_pos)
-            return any(
-                tuple(inst.find(r[p]) for p in dst_pos) == wanted
-                for r in inst.relations[target.rhs_relation]
-            )
-
-        outcome = engine.run(
-            instance, max_rounds=max_rounds, max_tuples=max_tuples,
-            goal=ind_goal, tick=tick,
-        )
-        return ImplicationCertificate(ind_goal(instance), outcome)
-
-    raise UnsupportedDependencyError(f"cannot chase target {target}")
+    return engine.implies(
+        target, max_rounds=max_rounds, max_tuples=max_tuples, tick=tick
+    )
 
 
 def chase_database(

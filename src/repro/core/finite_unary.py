@@ -30,6 +30,15 @@ which, being built from unbounded cycle rules, is *not* k-ary for any
 Dropping rule 3 gives the unrestricted-implication engine for the same
 fragment (no FD/IND interaction exists there; [KCV] give a binary
 complete axiomatization).
+
+Rules 1 and 2 are applied as graph reachability rather than by joining
+derived facts pairwise to a fixpoint: the transitive closure of a
+binary relation is its path relation, so one graph search per column —
+over the IND graph on columns and over each relation's FD graph on its
+attributes — adds every ``(u, v)`` with ``u != v`` and a path from
+``u`` to ``v``, exactly the facts the rules derive.  Rule 3 runs
+Tarjan's SCC algorithm on the cardinality digraph, and each round of
+reversals is re-closed the same way until nothing changes.
 """
 
 from __future__ import annotations
@@ -78,23 +87,41 @@ def _as_unary_facts(
     return fds, inds
 
 
+def _reachable(edges: dict[Node, list[Node]], source: Node) -> set[Node]:
+    """Every node with a path of one or more edges from ``source``,
+    ``source`` itself excluded."""
+    seen = {source}
+    stack = [source]
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    seen.discard(source)
+    return seen
+
+
 def _transitive_close(
     fds: set[FdFact], inds: set[IndFact]
 ) -> tuple[set[FdFact], set[IndFact]]:
-    """Close under FD and IND reflexivity-free transitivity."""
-    changed = True
-    while changed:
-        changed = False
-        for rel, a, b in list(fds):
-            for rel2, c, d in list(fds):
-                if rel == rel2 and b == c and (rel, a, d) not in fds and a != d:
-                    fds.add((rel, a, d))
-                    changed = True
-        for src, mid in list(inds):
-            for mid2, dst in list(inds):
-                if mid == mid2 and (src, dst) not in inds and src != dst:
-                    inds.add((src, dst))
-                    changed = True
+    """Close under FD and IND reflexivity-free transitivity.
+
+    Adds every ``(u, v)`` with ``u != v`` and a path from ``u`` to
+    ``v`` — over the IND graph on columns, and over each relation's FD
+    graph on its attributes — by one graph search per column, instead
+    of joining facts pairwise until nothing changes.  The premises stay
+    as they are (a trivial premise such as ``R: A -> A`` included).
+    """
+    ind_edges: dict[Node, list[Node]] = {}
+    for src, dst in inds:
+        ind_edges.setdefault(src, []).append(dst)
+    fd_edges: dict[Node, list[Node]] = {}
+    for rel, a, b in fds:
+        fd_edges.setdefault((rel, a), []).append((rel, b))
+    for src in ind_edges:
+        inds.update((src, dst) for dst in _reachable(ind_edges, src))
+    for rel, a in fd_edges:
+        fds.update((rel, a, b) for _, b in _reachable(fd_edges, (rel, a)))
     return fds, inds
 
 

@@ -10,13 +10,19 @@ lifecycle (:meth:`PremiseIndex.add` / :meth:`PremiseIndex.retract`):
   SCC-condensed bitset closure the session's hot IND path queries —
   maintained through an epoch/dirty policy (mutations outside the
   materialized footprint are free; others recompile lazily);
-* FDs bucketed by relation, with memoized attribute closures and
-  candidate keys — both invalidated per affected relation only, never
-  wholesale;
+* FDs bucketed by relation, with a compiled closure kernel per
+  relation and memoized attribute closures and candidate keys — all
+  invalidated per affected relation only, never wholesale;
+* the premises compiled into one
+  :class:`~repro.core.fdind_chase.ChaseEngine` (validated rules with
+  their column positions), built on the first chase-routed question
+  and dropped by any mutation; each question runs only the rules its
+  start relation reaches (:meth:`ChaseEngine.implies
+  <repro.core.fdind_chase.ChaseEngine.implies>`);
 * the structural facts routing needs (which classes are present,
   whether everything is unary) maintained as counters and per-class
-  lists, with the flat tuple views (what the chase, the unary engine,
-  and ``prove`` consume) materialized lazily per class — a mutation
+  lists, with the flat tuple views (what the unary engine and
+  ``prove`` consume) materialized lazily per class — a mutation
   that only touches INDs never rebuilds the FD view, and the
   Corollary 3.2 query path never rebuilds any of them.
 
@@ -43,6 +49,7 @@ from repro.deps.ind import IND
 from repro.deps.rd import RD
 from repro.model.schema import DatabaseSchema
 from repro.core.fd_closure import FDClosureKernel, candidate_keys
+from repro.core.fdind_chase import ChaseEngine
 from repro.core.ind_kernel import KernelIndex
 from repro.core.reach_index import ReachIndex
 
@@ -121,6 +128,7 @@ class PremiseIndex:
         self.closure_hits = 0
         self.closure_misses = 0
         self._hash_memo: Optional[str] = None
+        self._chase: Optional[ChaseEngine] = None
 
     # -- bucket maintenance ------------------------------------------------
 
@@ -229,6 +237,7 @@ class PremiseIndex:
         delta = self._delta(added=added, removed=())
         if delta:
             self._hash_memo = None
+            self._chase = None
         self._apply_fd_invalidation(delta)
         self._apply_reach_policy(delta)
         return delta
@@ -264,6 +273,7 @@ class PremiseIndex:
         delta = self._delta(added=(), removed=removed)
         if delta:
             self._hash_memo = None
+            self._chase = None
         self._apply_fd_invalidation(delta)
         self._apply_reach_policy(delta)
         return delta
@@ -341,6 +351,7 @@ class PremiseIndex:
         twin.closure_hits = 0
         twin.closure_misses = 0
         twin._hash_memo = self._hash_memo
+        twin._chase = self._chase
         return twin
 
     # -- structural identity and compiled-artifact sharing -----------------
@@ -354,10 +365,12 @@ class PremiseIndex:
         multiset of premises — regardless of insertion order — which is
         when every compiled artifact (IND kernels, reach index, FD
         closure kernels, memoized closures and keys) computed by one is
-        valid for the other.  That makes the hash the sharing key of
-        the serving layer's structural LRU and the natural invalidation
-        key for any persisted artifact.  Memoized; any mutation drops
-        the memo.
+        valid for the other.  The compiled chase engine is the one
+        exception: it fires rules in premise order, so it also needs
+        the order to match (see :meth:`adopt_compiled`).  That makes
+        the hash the sharing key of the serving layer's structural LRU
+        and the natural invalidation key for any persisted artifact.
+        Memoized; any mutation drops the memo.
         """
         memo = self._hash_memo
         if memo is None:
@@ -379,11 +392,13 @@ class PremiseIndex:
 
         Replaces this index's IND kernels, reach index, FD closure
         kernels, and closure/key memos with copy-on-write twins of the
-        donor's — the same sharing :meth:`clone` performs, but grafted
-        onto an independently constructed index.  N tenants with equal
-        premise sets thus pay one compilation; afterwards the two
-        indexes evolve independently (mutations replace buckets and
-        containers, never shared values).
+        donor's, and takes the donor's compiled chase engine when the
+        premises are in the same order — the sharing :meth:`clone`
+        performs, but grafted onto an independently constructed
+        index.  N tenants with equal premise sets thus pay one
+        compilation; afterwards the two indexes evolve independently
+        (mutations replace buckets and containers, never shared
+        values).
 
         Raises :class:`ValueError` unless the structural hashes match —
         adopting foreign artifacts would serve wrong verdicts.
@@ -401,6 +416,11 @@ class PremiseIndex:
         self._fd_kernels = dict(donor._fd_kernels)
         self._closure_cache = dict(donor._closure_cache)
         self._keys_cache = dict(donor._keys_cache)
+        # The chase fires rules in premise order, and rule order can
+        # move its rounds, events and budget exits: share the engine
+        # only when the order matches too, not just the multiset.
+        if donor._deps == self._deps:
+            self._chase = donor._chase
 
     # -- structural profile ----------------------------------------------
 
@@ -469,6 +489,23 @@ class PremiseIndex:
             )
             self._keys_cache[relation] = cached
         return list(cached)
+
+    # -- the compiled chase -----------------------------------------------
+
+    def chase_engine(self) -> ChaseEngine:
+        """The premises compiled into one :class:`ChaseEngine`.
+
+        Built lazily on the first chase-routed question and dropped by
+        any mutation; every question in between reuses it (each one
+        runs only the rules its start relation reaches, see
+        :meth:`ChaseEngine.implies`).  The engine keeps no per-run
+        state, so clones and adopters share it.
+        """
+        engine = self._chase
+        if engine is None:
+            engine = ChaseEngine(self.schema, self.dependencies)
+            self._chase = engine
+        return engine
 
     @property
     def closure_cache_size(self) -> int:

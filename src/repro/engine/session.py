@@ -30,7 +30,8 @@ Mutations invalidate caches *scoped to what actually changed*:
 * an FD mutation drops only that relation's memoized attribute
   closures and candidate keys;
 * any mutation drops the unary-closure cache (its fixpoint mixes every
-  premise, so there is no sound narrower scope).
+  premise, so there is no sound narrower scope) and the premise index's
+  compiled chase engine (it holds every premise's rule).
 
 :meth:`ReasoningSession.fork` gives a copy-on-write child for what-if
 comparison — mutate the child, and :meth:`ReasoningSession.whatif`
@@ -57,7 +58,6 @@ from repro.model.database import Database
 from repro.model.schema import DatabaseSchema
 from repro.core.fd_closure import closure_derivation
 from repro.core.fd_axioms import check_fd_proof, prove_fd
-from repro.core.fdind_chase import chase_implies
 from repro.core.finite_unary import UnaryClosure, unary_closure
 from repro.core.ind_axioms import check_proof
 from repro.core.ind_decision import DecisionResult, decide_ind, expression_of_lhs
@@ -248,9 +248,11 @@ class ReasoningSession:
 
         Grafts copy-on-write twins of the donor's compiled IND kernels,
         reach index, FD closure kernels, closure/key memos, and unary
-        closures onto this session, so a freshly built session with the
-        same (schema, premises) skips every compilation the donor
-        already paid.  Verdicts are unaffected — only warm state moves.
+        closures onto this session, plus its compiled chase engine when
+        the premises are in the same order, so a freshly built session
+        with the same (schema, premises) skips every compilation the
+        donor already paid.  Verdicts are unaffected — only warm state
+        moves.
         Raises :class:`ValueError` when the premise hashes differ.
         """
         if donor is self:
@@ -553,9 +555,7 @@ class ReasoningSession:
                        "derived_inds": len(closure.inds)},
             )
 
-        certificate = chase_implies(
-            self.schema,
-            self.dependencies,
+        certificate = self.index.chase_engine().implies(
             target,
             max_rounds=self.max_rounds,
             max_tuples=self.max_tuples,

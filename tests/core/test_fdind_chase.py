@@ -1,5 +1,11 @@
 """The general FD+IND chase."""
 
+import json
+import os
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from repro.core.fdind_chase import (
@@ -162,6 +168,119 @@ class TestDivergence:
                           max_rounds=3, max_tuples=10)
         except ChaseBudgetExceeded as exc:
             assert exc.rounds <= 3 or exc.tuples >= 10
+
+
+REPO_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
+
+# A chase whose merges rewrite rows of several relations at once: the
+# order the rewritten rows are re-journaled in decides which rows each
+# rule scans next, hence the event log and the rows-scanned count.
+MERGING_SCHEMA = {"R": ("A", "B", "C"), "S": ("A", "B", "C"), "T": ("A", "B")}
+MERGING_PREMISES = [
+    "S[B,C,A] <= R[B,A,C]", "S[A,B,C] <= S[C,B,A]", "S[B] <= S[C]",
+    "S[A,C,B] <= S[B,A,C]", "T[A] <= S[A]", "S[B,A,C] <= R[A,B,C]",
+    "S: C -> B", "R: C,A -> A", "R: B -> A", "R: A,B -> C",
+]
+MERGING_BUDGET = {"max_rounds": 15, "max_tuples": 1500}
+
+HASH_SEED_PROBE = f"""
+import json
+from repro.core.fdind_chase import chase_implies
+from repro.deps.parser import parse_dependencies, parse_dependency
+from repro.model.schema import DatabaseSchema
+
+outcome = chase_implies(
+    DatabaseSchema.from_dict({MERGING_SCHEMA!r}),
+    parse_dependencies({MERGING_PREMISES!r}),
+    parse_dependency("T: B -> A"),
+    **{MERGING_BUDGET!r},
+).outcome
+print(json.dumps({{"rounds": outcome.rounds,
+                  "rows_scanned": outcome.rows_scanned,
+                  "events": [repr(event) for event in outcome.instance.events]}}))
+"""
+
+
+class TestCompiledEngine:
+    """Per-question rule pruning, and counts that repeat run to run."""
+
+    def test_reaching_keeps_only_rules_the_start_relation_reaches(self):
+        schema = DatabaseSchema.from_dict(
+            {"R": ("A", "B"), "S": ("C", "D"), "T": ("E", "F")}
+        )
+        premises = parse_dependencies([
+            "T[E] <= R[A]", "R[A] <= S[C]", "S: C -> D", "T: E -> F",
+        ])
+        engine = ChaseEngine(schema, premises)
+        from_r = engine.reaching("R")
+        assert from_r.inds == [parse_dependency("R[A] <= S[C]")]
+        assert from_r.fds == [parse_dependency("S: C -> D")]
+        assert engine.reaching("R") is from_r  # memoized
+        assert engine.reaching("T") is engine  # T reaches every rule
+        assert engine.reaching("S").inds == []
+
+    def test_one_engine_serves_concurrent_runs(self):
+        """Runs keep their state to themselves: threads sharing one
+        engine (and racing to fill its per-relation memo) get exactly
+        the answers a lone caller gets."""
+        schema = DatabaseSchema.from_dict(MERGING_SCHEMA)
+        premises = parse_dependencies(MERGING_PREMISES)
+        targets = [parse_dependency(text) for text in (
+            "T: B -> A", "S: A -> C", "T[B] <= S[C]", "S: B -> A", "R: C -> A",
+        )]
+
+        def signature(certificate):
+            outcome = certificate.outcome
+            return (certificate.implied, outcome.rounds, outcome.rows_scanned,
+                    tuple(outcome.instance.events))
+
+        alone = ChaseEngine(schema, premises)
+        expected = {
+            target: signature(alone.implies(target, **MERGING_BUDGET))
+            for target in targets
+        }
+        shared = ChaseEngine(schema, premises)
+        results, errors = [], []
+
+        def worker():
+            try:
+                for target in targets * 3:
+                    answer = shared.implies(target, **MERGING_BUDGET)
+                    results.append((target, signature(answer)))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 4 * 3 * len(targets)
+        assert all(got == expected[target] for target, got in results)
+
+    def test_counts_do_not_depend_on_the_string_hash_seed(self):
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=REPO_SRC, PYTHONHASHSEED=seed)
+            completed = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_PROBE],
+                env=env, capture_output=True, text=True, timeout=120,
+                check=True,
+            )
+            runs.append(json.loads(completed.stdout))
+        assert runs[0]["rows_scanned"] == runs[1]["rows_scanned"]
+        assert runs[0]["events"] == runs[1]["events"]
+        assert runs[0]["rounds"] == runs[1]["rounds"] == 4
 
 
 class TestChaseDatabase:

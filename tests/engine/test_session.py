@@ -399,6 +399,28 @@ class TestAdoptCompiled:
         # The donor's own compiled state is untouched by the adoptee.
         assert donor.implies("MGR[NAME] <= PERSON[NAME]").verdict
 
+    def test_chase_engine_is_shared_only_in_premise_order(self):
+        """The chase fires rules in premise order, which can move its
+        rounds: a reordered donor's engine must not be adopted."""
+        schema = DatabaseSchema.from_dict(
+            {"R": ("A", "B", "C"), "S": ("A", "B", "C"), "T": ("A", "B")}
+        )
+        premises = [parse_dependency(text) for text in (
+            "T[A,B] <= R[B,C]", "T[A] <= S[B]", "R[C,A] <= S[C,B]",
+            "T: A -> B", "R: A -> C", "T: B -> A",
+        )]
+        target = "T[B] <= R[B]"
+        donor = ReasoningSession(schema, premises)
+        assert donor.implies(target).stats["rounds"] == 2
+        same_order = ReasoningSession(schema, premises)
+        same_order.adopt_compiled_from(donor)
+        assert same_order.index.chase_engine() is donor.index.chase_engine()
+        reordered = ReasoningSession(schema, premises[::-1])
+        reordered.adopt_compiled_from(donor)
+        fresh = ReasoningSession(schema, premises[::-1])
+        assert reordered.implies(target).stats == fresh.implies(target).stats
+        assert fresh.implies(target).stats["rounds"] == 3
+
     def test_structural_mismatch_refused(self, paper_schema, paper_inds):
         donor = ReasoningSession(paper_schema, paper_inds)
         other = ReasoningSession(paper_schema, paper_inds[:1])

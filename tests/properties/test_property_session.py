@@ -12,7 +12,7 @@ invalidation failed to drop shows up as a verdict mismatch.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ReasoningSession
+from repro.engine import Engine, ReasoningSession
 from repro.exceptions import ReproError
 from repro.model.schema import DatabaseSchema
 from tests.properties.strategies import fds, inds
@@ -38,17 +38,22 @@ def observe(session: ReasoningSession) -> list:
 
     Questions outside a decidable fragment (finite implication of a
     non-unary mixed set) or over the chase budget raise; the exception
-    *type* is part of the observable behaviour and must match too.
+    *type* is part of the observable behaviour and must match too.  A
+    chase answer's stats (rounds, tuples, rows scanned) are observed as
+    well, so a compiled chase engine left stale by a mutation or a fork
+    fails here even when its verdict happens to agree.
     """
     observations: list = []
     for target in PROBES:
         for semantics in ("unrestricted", "finite"):
             try:
-                observations.append(
-                    session.implies(target, semantics=semantics).verdict
-                )
+                answer = session.implies(target, semantics=semantics)
             except ReproError as exc:
                 observations.append(type(exc).__name__)
+                continue
+            observations.append(answer.verdict)
+            if answer.engine is Engine.CHASE:
+                observations.append(answer.stats)
     for relation in ("R", "S", "T"):
         observations.append(sorted(session.keys(relation)[relation], key=sorted))
         observations.append(sorted(session.closure(relation, ["A"])))
