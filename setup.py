@@ -1,11 +1,11 @@
 """Setup shim.
 
-The execution environment has no network and no ``wheel`` package, so
-PEP 517 editable installs fail; this shim enables the legacy path:
+All metadata lives in ``pyproject.toml``; with network access,
+``pip install -e .`` is all it takes.  Offline, where pip cannot fetch
+the build backend (and a ``--no-use-pep517`` install would also need
+the ``wheel`` package), this shim enables the legacy path:
 
-    pip install -e . --no-build-isolation --no-use-pep517
-
-All real metadata lives in ``pyproject.toml``.
+    python setup.py develop
 """
 
 from setuptools import setup

@@ -23,11 +23,12 @@ Two evaluation strategies share the rule semantics:
 
 * ``"semi-naive"`` (the default) is delta-driven: every rule keeps a
   cursor into an append-only per-relation journal of added/rewritten
-  rows, FD group tables and IND projection-counts persist across
-  rounds, and a value merge repairs the affected rows and indexes in
-  place (``rows_by_value`` reverse index) instead of re-canonicalizing
-  every stored tuple through :meth:`ChaseInstance.normalize`.  A round
-  in which nothing changed scans nothing — O(deltas), not O(rows).
+  rows, FD group tables and IND projection-counts (one per distinct
+  IND right side) persist across rounds, and a value merge repairs the
+  affected rows and indexes in place (``rows_by_value`` reverse index)
+  instead of re-canonicalizing every stored tuple through
+  :meth:`ChaseInstance.normalize`.  A round in which nothing changed
+  scans nothing — O(deltas), not O(rows).
 * ``"naive"`` is the textbook re-scan-everything formulation, retained
   as the differential-testing and benchmarking reference.
 
@@ -36,7 +37,7 @@ structure, so they decide identically and chase to isomorphic
 fixpoints (asserted over random instances by the property suite).
 
 A :class:`ChaseEngine` is compiled once per premise set (validated
-rules and their column positions) and keeps no per-run state, so it
+rules and their column projections) and keeps no per-run state, so it
 answers any number of implication questions
 (:meth:`ChaseEngine.implies`), each running only the rules reachable
 from the relation its start tuples are seeded in
@@ -46,8 +47,9 @@ one-question form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.exceptions import (
     ChaseBudgetExceeded,
@@ -84,9 +86,15 @@ class AddEvent:
 class ChaseInstance:
     """A mutable instance over labeled values with a union-find core.
 
-    Values are integer ids.  Ids registered as *constants* refuse to be
-    merged with other constants (that would make the instance
-    inconsistent); nulls merge freely.
+    Values are integer ids, dense from 0, so the union-find parents and
+    the constant flags are lists indexed by id.  Ids registered as
+    *constants* refuse to be merged with other constants (that would
+    make the instance inconsistent); nulls merge freely.
+
+    Names are rendered on demand: only a value created with a name
+    stores it, and an unnamed null reads as ``n<id>``
+    (:meth:`name_of`).  The chase creates most of its nulls unnamed,
+    and only :meth:`to_database` and error messages ever read a name.
     """
 
     def __init__(self, schema: DatabaseSchema):
@@ -94,40 +102,50 @@ class ChaseInstance:
         self.relations: dict[str, set[tuple[int, ...]]] = {
             rel.name: set() for rel in schema
         }
-        self._parent: dict[int, int] = {}
-        self._is_constant: dict[int, bool] = {}
+        self._parent: list[int] = []
+        self._is_constant: list[bool] = []
         self._names: dict[int, str] = {}
-        self._next_id = 0
         self.events: list[MergeEvent | AddEvent] = []
 
     # -- value management ------------------------------------------------
 
     def fresh_null(self, name: str | None = None) -> int:
-        value = self._next_id
-        self._next_id += 1
-        self._parent[value] = value
-        self._is_constant[value] = False
-        self._names[value] = name or f"n{value}"
+        value = len(self._parent)
+        self._parent.append(value)
+        self._is_constant.append(False)
+        if name:
+            self._names[value] = name
         return value
 
+    def _fresh_nulls(self, count: int) -> list[int]:
+        """``count`` unnamed nulls in one step (an IND's new row)."""
+        first = len(self._parent)
+        ids = range(first, first + count)
+        self._parent.extend(ids)
+        self._is_constant.extend([False] * count)
+        return list(ids)
+
     def fresh_constant(self, name: str | None = None) -> int:
-        value = self.fresh_null(name or f"c{self._next_id}")
+        value = self.fresh_null(name or f"c{len(self._parent)}")
         self._is_constant[value] = True
         return value
 
     def find(self, value: int) -> int:
+        parent = self._parent
         root = value
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[value] != root:  # path compression
-            self._parent[value], value = root, self._parent[value]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[value] != root:  # path compression
+            parent[value], value = root, parent[value]
         return root
 
     def same(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
 
     def name_of(self, value: int) -> str:
-        return self._names[self.find(value)]
+        root = self.find(value)
+        name = self._names.get(root)
+        return f"n{root}" if name is None else name
 
     def merge(self, a: int, b: int, dependency: Dependency) -> bool:
         """Equate two values; returns ``True`` when something changed.
@@ -142,8 +160,8 @@ class ChaseInstance:
         const_a, const_b = self._is_constant[ra], self._is_constant[rb]
         if const_a and const_b:
             raise DependencyError(
-                f"chase failure: constants {self._names[ra]} and "
-                f"{self._names[rb]} forced equal by {dependency}"
+                f"chase failure: constants {self.name_of(ra)} and "
+                f"{self.name_of(rb)} forced equal by {dependency}"
             )
         # Keep the constant (or the older id) as representative.
         if const_b or (not const_a and rb < ra):
@@ -155,7 +173,7 @@ class ChaseInstance:
     # -- tuple management --------------------------------------------------
 
     def canonical_row(self, row: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.find(v) for v in row)
+        return tuple(map(self.find, row))
 
     def normalize(self) -> None:
         """Rewrite all stored tuples through the union-find."""
@@ -208,7 +226,12 @@ class _SemiNaiveState:
       through the union-find;
     * ``ind_existing`` — per-IND counted multiset of the right-side
       projections of the rows currently stored, so the "is this tuple
-      already witnessed" test is one dict probe;
+      already witnessed" test is one dict probe.  INDs with the same
+      right side (relation and positions) share one table, so a row
+      added or rewritten updates each distinct table of its relation
+      once (``projections``), not once per IND.  Tables are per-run
+      state like everything else here: the engine holds only the
+      projectors;
     * ``rows_by_value`` — value -> rows reverse index driving
       :meth:`merge` repair: when two values are equated, exactly the
       rows containing the dead root are rewritten (and re-journaled),
@@ -230,19 +253,22 @@ class _SemiNaiveState:
         for rel, rows in instance.relations.items():
             for row in rows:
                 self._index_row(rel, row)
-        self.fd_groups: list[dict[tuple[int, ...], tuple[int, ...]]] = [
-            {} for _ in engine.fds
-        ]
+        self.fd_groups: list[dict] = [{} for _ in engine.fds]
         self.fd_cursors = [0] * len(engine.fds)
         self.rd_cursors = [0] * len(engine.rds)
         self.ind_cursors = [0] * len(engine.inds)
-        self.ind_existing: list[dict[tuple[int, ...], int]] = []
-        for index, ind in enumerate(engine.inds):
-            dst_pos = engine._ind_positions[index][1]
-            counts: dict[tuple[int, ...], int] = {}
-            for row in instance.relations[ind.rhs_relation]:
-                proj = tuple(row[p] for p in dst_pos)
-                counts[proj] = counts.get(proj, 0) + 1
+        tables: dict[int, dict] = {}
+        self.projections: dict[str, list[tuple[Projector, dict]]] = {}
+        self.ind_existing: list[dict] = []
+        for _project, _pairs, _arity, side in engine._ind_rules:
+            counts = tables.get(side)
+            if counts is None:
+                rel, project = engine._sides[side]
+                counts = tables[side] = {}
+                for row in instance.relations[rel]:
+                    proj = project(row)
+                    counts[proj] = counts.get(proj, 0) + 1
+                self.projections.setdefault(rel, []).append((project, counts))
             self.ind_existing.append(counts)
         self.rows_scanned = 0
 
@@ -259,17 +285,14 @@ class _SemiNaiveState:
                 bucket.pop((rel, row), None)
 
     def _track_projections(self, rel: str, row: tuple[int, ...], delta: int) -> None:
-        """Adjust the projection counts of every IND targeting ``rel``."""
-        engine = self.engine
-        for index in engine._inds_into.get(rel, ()):
-            dst_pos = engine._ind_positions[index][1]
-            proj = tuple(row[p] for p in dst_pos)
-            counts = self.ind_existing[index]
+        """Adjust every projection-count table over ``rel``."""
+        for project, counts in self.projections.get(rel, ()):
+            proj = project(row)
             updated = counts.get(proj, 0) + delta
             if updated:
                 counts[proj] = updated
             else:
-                counts.pop(proj, None)
+                del counts[proj]  # only a counted row is ever removed
 
     def add_row(
         self, rel: str, row: Sequence[int], dependency: IND | None = None
@@ -320,7 +343,7 @@ class _SemiNaiveState:
 
     def apply_fd(self, index: int, fd: FD) -> bool:
         instance = self.instance
-        lhs_pos, rhs_pos = self.engine._fd_positions[index]
+        key_of, image_of = self.engine._fd_projections[index]
         rows = instance.relations[fd.relation]
         log = self.logs[fd.relation]
         groups = self.fd_groups[index]
@@ -334,12 +357,12 @@ class _SemiNaiveState:
             self.rows_scanned += 1
             if row not in rows:
                 continue  # rewritten away since it was journaled
-            key = tuple(row[p] for p in lhs_pos)
+            key = key_of(row)
             other = groups.get(key)
             if other is None:
-                groups[key] = tuple(row[p] for p in rhs_pos)
+                groups[key] = image_of(row)
                 continue
-            for a, b in zip(other, (row[p] for p in rhs_pos)):
+            for a, b in zip(other, image_of(row)):
                 if find(a) != find(b):
                     try:
                         self.merge(a, b, fd)
@@ -377,7 +400,7 @@ class _SemiNaiveState:
 
     def apply_ind(self, index: int, ind: IND) -> bool:
         instance = self.instance
-        src_pos, dst_pos, dst_arity = self.engine._ind_positions[index]
+        project, pairs, dst_arity, _side = self.engine._ind_rules[index]
         rows = instance.relations[ind.lhs_relation]
         log = self.logs[ind.lhs_relation]
         existing = self.ind_existing[index]
@@ -390,14 +413,11 @@ class _SemiNaiveState:
             self.rows_scanned += 1
             if row not in rows:
                 continue
-            needed = tuple(row[p] for p in src_pos)
-            if existing.get(needed):
+            if existing.get(project(row)):
                 continue
-            new_row: list[int] = [
-                instance.fresh_null() for _ in range(dst_arity)
-            ]
-            for value, pos in zip(needed, dst_pos):
-                new_row[pos] = value
+            new_row = instance._fresh_nulls(dst_arity)
+            for src, dst in pairs:
+                new_row[dst] = row[src]
             self.add_row(ind.rhs_relation, new_row, ind)
             changed = True
         self.ind_cursors[index] = cursor
@@ -514,8 +534,35 @@ def _no_tick() -> None:
     """The default cooperative check: free, never fires."""
 
 
+Projector = Callable[[tuple[int, ...]], object]
+"""A compiled column projection of a row."""
+
+
+def _no_columns(_row: tuple[int, ...]) -> tuple[()]:
+    return ()
+
+
+def _key_projector(positions: tuple[int, ...]) -> Projector:
+    """A projection that is only looked up, never iterated.
+
+    ``itemgetter`` returns a bare value, not a 1-tuple, at arity 1, so
+    both sides of a lookup must use projectors over the same number of
+    positions (an IND's two sides always do).
+    """
+    return itemgetter(*positions) if positions else _no_columns
+
+
+def _tuple_projector(positions: tuple[int, ...]) -> Projector:
+    """A projection that is iterated, so always a tuple (``positions``
+    is an FD's right side, never empty)."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
+
+
 def _kept(rules: list, compiled: list, keep) -> tuple[list, list]:
-    """The rules satisfying ``keep``, with their compiled positions,
+    """The rules satisfying ``keep``, with their compiled projections,
     in their original order."""
     indices = [i for i, rule in enumerate(rules) if keep(rule)]
     return [rules[i] for i in indices], [compiled[i] for i in indices]
@@ -525,9 +572,9 @@ class ChaseEngine:
     """Runs FD/IND/RD chase steps over a :class:`ChaseInstance`.
 
     The engine holds only the validated premises and their compiled
-    column positions; every run keeps its state (journals, indexes,
-    the ``rows_scanned`` counter) to itself, so one engine can serve
-    any number of runs, concurrent ones included.
+    column projections; every run keeps its state (journals, indexes,
+    count tables, the ``rows_scanned`` counter) to itself, so one
+    engine can serve any number of runs, concurrent ones included.
     """
 
     def __init__(
@@ -557,15 +604,16 @@ class ChaseEngine:
                 raise UnsupportedDependencyError(
                     f"chase supports FDs, INDs and RDs, got {dep}"
                 )
-        # Position tuples are a per-rule constant; compile them once
-        # instead of re-deriving from the schema at every application.
-        self._fd_positions = [
-            (
-                self.schema.relation(fd.relation).positions(fd.lhs),
-                self.schema.relation(fd.relation).positions(fd.rhs),
-            )
-            for fd in self.fds
-        ]
+        # Projections are a per-rule constant; compile them once instead
+        # of re-deriving positions from the schema at every application.
+        # FD: (group key, right-hand image).
+        self._fd_projections = []
+        for fd in self.fds:
+            rel_schema = self.schema.relation(fd.relation)
+            self._fd_projections.append((
+                _key_projector(rel_schema.positions(fd.lhs)),
+                _tuple_projector(rel_schema.positions(fd.rhs)),
+            ))
         self._rd_positions = [
             tuple(
                 (
@@ -576,24 +624,28 @@ class ChaseEngine:
             )
             for rd in self.rds
         ]
-        self._ind_positions = []
+        # IND: (left projection, (source, destination) position pairs,
+        # destination arity, right side).  INDs with the same right side
+        # (relation and positions) share one side, whose projector keys
+        # the count table they share in a run.
+        sides: dict[tuple[str, tuple[int, ...]], int] = {}
+        self._ind_rules = []
         for ind in self.inds:
             src_schema = self.schema.relation(ind.lhs_relation)
             dst_schema = self.schema.relation(ind.rhs_relation)
-            self._ind_positions.append(
-                (
-                    src_schema.positions(ind.lhs_attributes),
-                    dst_schema.positions(ind.rhs_attributes),
-                    dst_schema.arity,
-                )
-            )
-        self._index_inds_into()
+            src_pos = src_schema.positions(ind.lhs_attributes)
+            dst_pos = dst_schema.positions(ind.rhs_attributes)
+            side = sides.setdefault((ind.rhs_relation, dst_pos), len(sides))
+            self._ind_rules.append((
+                _key_projector(src_pos),
+                tuple(zip(src_pos, dst_pos)),
+                dst_schema.arity,
+                side,
+            ))
+        self._sides: list[tuple[str, Projector]] = [
+            (rel, _key_projector(dst_pos)) for rel, dst_pos in sides
+        ]
         self._reaching_memo: dict[str, ChaseEngine] = {}
-
-    def _index_inds_into(self) -> None:
-        self._inds_into: dict[str, list[int]] = {}
-        for index, ind in enumerate(self.inds):
-            self._inds_into.setdefault(ind.rhs_relation, []).append(index)
 
     # -- rule pruning ---------------------------------------------------------
 
@@ -630,14 +682,14 @@ class ChaseEngine:
         return engine
 
     def _restricted(self, relations: set[str]) -> "ChaseEngine":
-        fds, fd_positions = _kept(
-            self.fds, self._fd_positions, lambda fd: fd.relation in relations
+        fds, fd_projections = _kept(
+            self.fds, self._fd_projections, lambda fd: fd.relation in relations
         )
         rds, rd_positions = _kept(
             self.rds, self._rd_positions, lambda rd: rd.relation in relations
         )
-        inds, ind_positions = _kept(
-            self.inds, self._ind_positions,
+        inds, ind_rules = _kept(
+            self.inds, self._ind_rules,
             lambda ind: ind.lhs_relation in relations,
         )
         if (len(fds), len(rds), len(inds)) == (
@@ -647,10 +699,10 @@ class ChaseEngine:
         sub = ChaseEngine.__new__(ChaseEngine)
         sub.schema = self.schema
         sub.strategy = self.strategy
-        sub.fds, sub._fd_positions = fds, fd_positions
+        sub.fds, sub._fd_projections = fds, fd_projections
         sub.rds, sub._rd_positions = rds, rd_positions
-        sub.inds, sub._ind_positions = inds, ind_positions
-        sub._index_inds_into()
+        sub.inds, sub._ind_rules = inds, ind_rules
+        sub._sides = self._sides
         sub._reaching_memo = {}
         return sub
 

@@ -20,10 +20,14 @@ datalog/IVM engines:
    computes, per component, the *bitset of reachable components* as a
    Python int: ``label[c] = bit(c) | union(label[successor sccs])``.
 3. **Answer** ``decide_ind`` for a compiled source as a bitset
-   membership test — two dict lookups and one shift — plus on-demand
-   witness-chain reconstruction from recorded parent edges.  Chains
-   are identical to the kernel BFS's (same edge enumeration order,
-   same BFS discipline; pinned by the differential property tests).
+   membership test — two dict lookups and one shift — plus, for an
+   implied goal, a witness chain from a resumable per-source BFS over
+   the recorded edges.  The walk advances only until the goal has a
+   parent, so it never goes past the deepest goal asked of its source
+   so far.  Chains, links and the implied answer's ``frontier_peak``
+   are identical to the early-exit kernel BFS's (same edge enumeration
+   order, same BFS discipline; pinned by the differential property
+   tests).
 
 Premise mutations follow an **epoch/dirty policy** instead of PR 2's
 per-exploration footprint scan:
@@ -70,23 +74,62 @@ Edge = tuple[int, INDKernel, tuple[int, ...]]
 """One recorded successor edge: (target node id, kernel, lhs positions)."""
 
 
-class _SourceView:
-    """Per-source witness support: the BFS parent map from one source.
+Parent = tuple[int, Edge, int]
+"""One discovered node's BFS parent: (parent node id, the recorded edge
+into the node, frontier peak when the node was discovered)."""
 
-    Built lazily, once per source per epoch, by a BFS over the
-    materialized adjacency in the exact order the kernel BFS would
-    expand — so extracted chains match
-    :func:`~repro.core.ind_decision.decide_ind` edge for edge.
-    ``count``/``frontier_peak`` reproduce the exhaustive exploration's
-    ``explored``/``frontier_peak`` statistics.
+
+class _SourceView:
+    """Per-source witness support: a resumable BFS from one source.
+
+    The walk expands the materialized adjacency in the exact order the
+    kernel BFS would, so extracted chains match
+    :func:`~repro.core.ind_decision.decide_ind` edge for edge.  It
+    advances only until the goal asked has a parent (:meth:`advance`),
+    so a source's walk never goes past the deepest goal asked of it so
+    far.  BFS parents do not depend on where a walk stops, so a resumed
+    walk gives every node the parent a full walk would.
+
+    ``parents`` maps each discovered node to its :data:`Parent`, whose
+    last field is the frontier peak at the moment the node was found —
+    exactly the ``frontier_peak`` the early-exit kernel BFS reports for
+    that goal.  The source maps to ``None``.  ``queue`` and ``peak``
+    are the walk's BFS queue and running frontier peak; the view is
+    *finished* once its queue is empty.
     """
 
-    __slots__ = ("parents", "count", "frontier_peak")
+    __slots__ = ("parents", "queue", "peak")
 
-    def __init__(self, parents: dict[int, Edge], count: int, frontier_peak: int):
-        self.parents = parents
-        self.count = count
-        self.frontier_peak = frontier_peak
+    def __init__(self, source: int):
+        self.parents: dict[int, Optional[Parent]] = {source: None}
+        self.queue: deque[int] = deque([source])
+        self.peak = 1
+
+    def advance(self, edges: list[tuple[Edge, ...]], goal: int) -> int:
+        """Walk on until ``goal`` (reachable, not the source) has a
+        parent; return the frontier peak at the moment it was found."""
+        parents = self.parents
+        if goal not in parents:
+            queue = self.queue
+            peak = self.peak
+            while goal not in parents:
+                if len(queue) > peak:
+                    peak = len(queue)
+                node = queue.popleft()
+                for edge in edges[node]:
+                    succ = edge[0]
+                    if succ not in parents:
+                        parents[succ] = (node, edge, peak)
+                        queue.append(succ)
+            self.peak = peak
+        return parents[goal][2]
+
+    def copy(self) -> "_SourceView":
+        twin = _SourceView.__new__(_SourceView)
+        twin.parents = dict(self.parents)
+        twin.queue = deque(self.queue)
+        twin.peak = self.peak
+        return twin
 
 
 class ReachIndex:
@@ -256,8 +299,9 @@ class ReachIndex:
         edges were all recorded when it was expanded — none of them can
         point at a node added later.  New nodes therefore can't join an
         existing component, and the old components, their labels, the
-        per-component reach counts, and the per-source parent views are
-        all still exact: only the new subgraph needs condensing, with
+        per-component reach counts, and the per-source witness walks
+        (which only ever visit nodes their source reaches) are all
+        still exact: only the new subgraph needs condensing, with
         edges into old nodes treated as cross-edges to already-final
         components.
 
@@ -364,9 +408,13 @@ class ReachIndex:
         ``explored`` reports the size of the source's reachable set
         (what the exhaustive exploration would have visited), and
         implied targets carry the identical witness chain the kernel
-        BFS would extract.  ``frontier_peak`` is 0 for negative answers
-        — the index runs no frontier — and the source BFS's real peak
-        on positive ones.
+        BFS would extract.  An implied answer advances the source's
+        resumable witness walk (:class:`_SourceView`) only until the
+        goal has a parent, and reports the ``frontier_peak`` that walk
+        had reached when it found the goal — the early-exit kernel
+        BFS's, equal to :func:`~repro.core.ind_decision.decide_ind`'s.
+        ``frontier_peak`` is 0 for negative answers: the index runs no
+        frontier for them.
         """
         if self._stale():
             self._reset()
@@ -387,11 +435,14 @@ class ReachIndex:
                 implied=False, target=target,
                 explored=self._reach_count(source), frontier_peak=0,
             )
-        view = self._view(source)
+        view = self._views.get(source)
+        if view is None:
+            view = self._views[source] = _SourceView(source)
+        frontier_peak = view.advance(self._edges, goal_id)
         chain, links = self._chain(view, source, goal_id)
         return DecisionResult(
             implied=True, target=target, chain=chain, links=links,
-            explored=view.count, frontier_peak=view.frontier_peak,
+            explored=self._reach_count(source), frontier_peak=frontier_peak,
         )
 
     def _reach_count(self, source: int) -> int:
@@ -410,29 +461,6 @@ class ReachIndex:
             self._counts[cid] = count
         return count
 
-    def _view(self, source: int) -> _SourceView:
-        view = self._views.get(source)
-        if view is None:
-            parents: dict[int, Edge] = {}
-            visited = {source}
-            queue: deque[int] = deque([source])
-            frontier_peak = 1
-            edges = self._edges
-            while queue:
-                if len(queue) > frontier_peak:
-                    frontier_peak = len(queue)
-                node = queue.popleft()
-                for edge in edges[node]:
-                    succ = edge[0]
-                    if succ in visited:
-                        continue
-                    visited.add(succ)
-                    parents[succ] = (node, edge[1], edge[2])
-                    queue.append(succ)
-            view = _SourceView(parents, len(visited), frontier_peak)
-            self._views[source] = view
-        return view
-
     def _chain(
         self, view: _SourceView, source: int, goal: int
     ) -> tuple[list[Expression], list[ChainLink]]:
@@ -445,7 +473,7 @@ class ReachIndex:
         links: list[ChainLink] = []
         node = goal
         while node != source:
-            previous, kernel, positions = view.parents[node]
+            previous, (_node, kernel, positions), _peak = view.parents[node]
             chain.append(exprs[previous])
             links.append(ChainLink(kernel.ind, positions))
             node = previous
@@ -459,9 +487,14 @@ class ReachIndex:
         """A copy-on-write twin over ``kernels`` (for session forking).
 
         Container skeletons are copied; node tuples, edge tuples,
-        labels (ints) and source views are shared — compilation only
-        ever appends new nodes or replaces whole containers, so shared
-        values are never mutated in place.  Nothing is recompiled.
+        labels (ints) and finished source views (empty queue) are
+        shared — compilation only ever appends new nodes or replaces
+        whole containers, and a finished walk never moves again, so
+        shared values are never mutated in place.  An unfinished view
+        is the one thing that does move: the twin gets its own copy of
+        its parent map and queue, so the twin (``whatif`` re-queries a
+        fork on another thread) and this index never advance one walk
+        together.  Nothing is recompiled.
         """
         twin = ReachIndex.__new__(ReachIndex)
         twin.kernels = kernels if kernels is not None else self.kernels
@@ -485,7 +518,10 @@ class ReachIndex:
         twin._labels = list(self._labels)
         twin._scc_sizes = list(self._scc_sizes)
         twin._counts = dict(self._counts)
-        twin._views = dict(self._views)
+        twin._views = {
+            source: view.copy() if view.queue else view
+            for source, view in self._views.items()
+        }
         return twin
 
     @property

@@ -51,6 +51,20 @@ class TestInstanceCore:
         instance.merge(c, n, FD("R", ("A",), ("B",)))
         assert instance.name_of(n) == "x"
 
+    def test_value_names(self, schema):
+        """Named values keep their names; an unnamed null reads as
+        ``n<id>`` and an unnamed constant as ``c<id>``."""
+        instance = ChaseInstance(schema)
+        values = [
+            instance.fresh_constant(), instance.fresh_null(),
+            instance.fresh_null("x"), instance.fresh_constant("k"),
+            instance.fresh_constant(),
+        ]
+        assert values == [0, 1, 2, 3, 4]
+        assert [instance.name_of(v) for v in values] == [
+            "c0", "n1", "x", "k", "c4",
+        ]
+
     def test_rows_deduplicate_after_merge(self, schema):
         instance = ChaseInstance(schema)
         a, b = instance.fresh_null(), instance.fresh_null()
@@ -86,6 +100,23 @@ class TestFdImplicationByChase:
         assert counter is not None
         assert counter.satisfies_all(premises)
         assert not counter.satisfies(FD("R", ("B",), ("A",)))
+
+
+    def test_counterexample_value_names(self, schema):
+        """The start rows' nulls keep their names (``x_A``, ``b1``,
+        ``b2``), IND-created nulls read as ``n<id>``, and a merged-away
+        null reads as its representative.  The two INDs share their
+        right side; the empty-lhs FD merges every ``D`` value."""
+        premises = parse_dependencies(["R[A] <= S[C]", "R[B] <= S[C]"])
+        premises.append(FD("S", None, ("D",)))
+        cert = chase_implies(schema, premises, parse_dependency("R: A -> B"))
+        counter = cert.counterexample()
+        assert sorted(map(tuple, counter["R"])) == [
+            ("x_A", "b1"), ("x_A", "b2"),
+        ]
+        assert sorted(map(tuple, counter["S"])) == [
+            ("b1", "n4"), ("b2", "n4"), ("x_A", "n4"),
+        ]
 
 
 class TestIndImplicationByChase:
@@ -297,6 +328,14 @@ class TestChaseDatabase:
         assert ("9", "9") in {
             tuple(row) for row in repaired["S"]
         } or (9, 9) in repaired["S"] or ("9", "9") in repaired["S"]
+
+    def test_repair_names_constants_and_nulls(self, schema):
+        db = database(schema, {"R": [(1, 2)]})
+        repaired = chase_database(
+            db, parse_dependencies(["R[A] <= S[C]", "R[B] <= S[D]"])
+        )
+        assert sorted(map(tuple, repaired["R"])) == [("1", "2")]
+        assert sorted(map(tuple, repaired["S"])) == [("1", "n3"), ("n4", "2")]
 
     def test_fd_conflict_reported(self, schema):
         db = database(schema, {"R": [(1, 2), (1, 3)]})

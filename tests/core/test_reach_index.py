@@ -1,5 +1,8 @@
 """The SCC-condensed bitset closure index (``core/reach_index.py``)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.ind_decision import (
@@ -196,3 +199,120 @@ class TestLifecyclePolicy:
         twin.note_mutation(added_lhs=["R5"])
         assert twin.reachable(("R5", ("A",)), ("R0", ("A",)))
         assert not reach.reachable(("R0", ("A",)), ("R5", ("A",)))
+
+
+def ladder_premises(levels):
+    """R0[A,B] reaches both orders of every later level: two nodes per
+    level, each with two successors, so BFS parents depend on order."""
+    premises = []
+    for i in range(levels):
+        premises.append(IND(f"R{i}", ("A", "B"), f"R{i+1}", ("A", "B")))
+        premises.append(IND(f"R{i}", ("A", "B"), f"R{i+1}", ("B", "A")))
+    return premises
+
+
+class TestWitnessWalk:
+    SOURCE = ("R0", ("A",))
+    SHALLOW = IND("R0", ("A",), "R1", ("A",))
+    DEEP = IND("R0", ("A",), "R9", ("A",))
+
+    def test_shallow_goal_stops_short_of_the_component(self):
+        reach, kernels = build(chain_premises(10))
+        answer = reach.decide(self.SHALLOW)
+        view = reach._views[reach._ids[self.SOURCE]]
+        # Expanding R0 found R1: the walk stops there, with R2..R9
+        # neither discovered nor queued...
+        assert len(view.parents) == 2 and list(view.queue) == [
+            reach._ids[("R1", ("A",))]
+        ]
+        # ...while ``explored`` still reports the whole reachable set.
+        assert answer.explored == 10
+        bfs = decide_ind(self.SHALLOW, kernels)
+        assert (answer.chain, answer.links, answer.frontier_peak) == (
+            bfs.chain, bfs.links, bfs.frontier_peak
+        )
+
+    def test_resumed_walk_keeps_its_running_peak(self):
+        # R0[A] fans out to five nodes, only the last of which leads on
+        # (to T, then U): the queue peaks at 5 and has shrunk to [T]
+        # when the walk stops at T.  Resumed for U, the walk must still
+        # report the peak 5 the early-exit BFS reports, not the queue
+        # length it resumed with.
+        premises = [IND("R0", ("A",), f"S{i}", ("A",)) for i in range(1, 6)]
+        premises += [IND("S5", ("A",), "T", ("A",)), IND("T", ("A",), "U", ("A",))]
+        reach, kernels = build(premises)
+        assert reach.decide(IND("R0", ("A",), "T", ("A",))).frontier_peak == 5
+        deep = IND("R0", ("A",), "U", ("A",))
+        assert reach.decide(deep).frontier_peak == 5
+        assert decide_ind(deep, kernels).frontier_peak == 5
+
+    def test_fork_advances_its_own_walk(self):
+        reach, kernels = build(chain_premises(10))
+        reach.decide(self.SHALLOW)
+        source = reach._ids[self.SOURCE]
+        view = reach._views[source]
+        parents, queue = dict(view.parents), list(view.queue)
+        twin = reach.copy(kernels.copy())
+        child = twin.decide(self.DEEP)
+        assert len(twin._views[source].parents) == 10
+        # The parent's unfinished walk did not move.
+        assert reach._views[source] is view
+        assert view.parents == parents and list(view.queue) == queue
+        # Resuming it later gives the child's answer.
+        answer = reach.decide(self.DEEP)
+        assert (answer.chain, answer.links, answer.frontier_peak) == (
+            child.chain, child.links, child.frontier_peak
+        )
+
+    def test_parent_and_forks_walk_one_source_concurrently(self):
+        """``whatif`` re-queries a fork on an executor thread while the
+        parent keeps answering: the parent and three forks of it (more
+        walkers than cores) advance one source's walk at once, and each
+        side's chains are still the kernel BFS's."""
+        levels = 300
+        premises = ladder_premises(levels)
+        reach, kernels = build(premises)
+        start = ("R0", ("A", "B"))
+        reach.decide(IND(*start, "R1", ("B", "A")))  # an unfinished walk
+        indexes = [reach] + [reach.copy(kernels.copy()) for _ in range(3)]
+        targets = [
+            IND(*start, f"R{level}", attrs)
+            for level in range(2, levels + 1, 7)
+            for attrs in (("B", "A"), ("A", "B"))
+        ]
+        expected = {
+            target: (bfs.chain, bfs.links, bfs.frontier_peak)
+            for target in targets
+            for bfs in [decide_ind(target, KernelIndex(premises))]
+        }
+        results = [[] for _ in indexes]
+        errors = []
+
+        def walk(index, out):
+            try:
+                for target in targets:
+                    answer = index.decide(target)
+                    out.append(
+                        (target, (answer.chain, answer.links, answer.frontier_peak))
+                    )
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=walk, args=(index, out))
+                for index, out in zip(indexes, results)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for out in results:
+            assert len(out) == len(targets)
+            assert all(got == expected[target] for target, got in out)
