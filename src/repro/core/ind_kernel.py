@@ -116,11 +116,10 @@ def intern_expression(expression: Expression) -> Expression:
 class KernelIndex:
     """Kernels bucketed by left-hand relation, maintained incrementally.
 
-    The compiled counterpart of the ``inds_by_lhs`` premise index:
-    ``bucket(R)`` is the tuple of kernels whose premise can move an
-    expression over ``R``.  Mutations replace whole bucket tuples, so
-    :meth:`copy` (dict copy) gives a safely shareable twin for
-    session forking.
+    The premise index's IND buckets, compiled: ``bucket(R)`` is the
+    tuple of kernels whose premise can move an expression over ``R``.
+    Mutations replace whole bucket tuples, so :meth:`copy` (dict copy)
+    gives a safely shareable twin for session forking.
 
     ``mutations`` counts every bucket change.  The
     :class:`~repro.core.reach_index.ReachIndex` compiled on top of

@@ -77,9 +77,6 @@ class EMVD(Dependency):
             if attr not in rel:
                 raise DependencyError(f"attribute {attr!r} of {self} is not in {rel}")
 
-    def attribute_sets(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-        return self.x, self.y, self.z
-
     # -- semantics ------------------------------------------------------
 
     def holds_in(self, db: "Database") -> bool:

@@ -4,8 +4,9 @@ A session classifies and buckets its dependency set at construction
 and then maintains the buckets *incrementally* through the premise
 lifecycle (:meth:`PremiseIndex.add` / :meth:`PremiseIndex.retract`):
 
-* INDs bucketed by left-hand relation (what ``successors`` consumes)
-  and by right-hand relation (backward search), with the compiled
+* INDs compiled into kernels bucketed by left-hand relation (the
+  :class:`~repro.core.ind_kernel.KernelIndex` the Corollary 3.2
+  search walks), with the compiled
   :class:`~repro.core.reach_index.ReachIndex` on top — the
   SCC-condensed bitset closure the session's hot IND path queries —
   maintained through an epoch/dirty policy (mutations outside the
@@ -69,14 +70,6 @@ class MutationDelta:
     ind_lhs_relations: frozenset[str] = frozenset()
     fd_relations: frozenset[str] = frozenset()
 
-    @property
-    def mutated_inds(self) -> bool:
-        return bool(self.ind_lhs_relations)
-
-    @property
-    def mutated_fds(self) -> bool:
-        return bool(self.fd_relations)
-
     def __bool__(self) -> bool:
         return bool(self.added or self.removed)
 
@@ -114,8 +107,6 @@ class PremiseIndex:
         self._views: dict[str, tuple] = {}  # lazily rebuilt per class
         self._deps_view: Optional[tuple[Dependency, ...]] = None
         self._non_unary = 0
-        self.inds_by_lhs: dict[str, tuple[IND, ...]] = {}
-        self.inds_by_rhs: dict[str, tuple[IND, ...]] = {}
         self.fds_by_relation: dict[str, tuple[FD, ...]] = {}
         self.ind_kernels = KernelIndex()
         for dep in self._deps:
@@ -138,12 +129,6 @@ class PremiseIndex:
         self._views.pop(kind, None)
         self._deps_view = None
         if isinstance(dep, IND):
-            self.inds_by_lhs[dep.lhs_relation] = (
-                self.inds_by_lhs.get(dep.lhs_relation, ()) + (dep,)
-            )
-            self.inds_by_rhs[dep.rhs_relation] = (
-                self.inds_by_rhs.get(dep.rhs_relation, ()) + (dep,)
-            )
             self.ind_kernels.add(dep)
             self._non_unary += not dep.is_unary()
         elif isinstance(dep, FD):
@@ -158,8 +143,6 @@ class PremiseIndex:
         self._views.pop(kind, None)
         self._deps_view = None
         if isinstance(dep, IND):
-            self._bucket_remove(self.inds_by_lhs, dep.lhs_relation, dep)
-            self._bucket_remove(self.inds_by_rhs, dep.rhs_relation, dep)
             self.ind_kernels.discard(dep)
             self._non_unary -= not dep.is_unary()
         elif isinstance(dep, FD):
@@ -340,8 +323,6 @@ class PremiseIndex:
         twin._views = dict(self._views)
         twin._deps_view = self._deps_view
         twin._non_unary = self._non_unary
-        twin.inds_by_lhs = dict(self.inds_by_lhs)
-        twin.inds_by_rhs = dict(self.inds_by_rhs)
         twin.fds_by_relation = dict(self.fds_by_relation)
         twin.ind_kernels = self.ind_kernels.copy()
         twin.reach_index = self.reach_index.copy(twin.ind_kernels)
@@ -439,9 +420,6 @@ class PremiseIndex:
     def fds_of(self, relation: str) -> tuple[FD, ...]:
         return self.fds_by_relation.get(relation, ())
 
-    def inds_from(self, relation: str) -> tuple[IND, ...]:
-        return self.inds_by_lhs.get(relation, ())
-
     # -- memoized FD reasoning ---------------------------------------------
 
     def fd_kernel(self, relation: str) -> FDClosureKernel:
@@ -529,7 +507,7 @@ class PremiseIndex:
             "inds": self._counts["ind"],
             "fds": self._counts["fd"],
             "rds": self._counts["rd"],
-            "relations_with_outgoing_inds": len(self.inds_by_lhs),
+            "relations_with_outgoing_inds": len(self.ind_kernels.buckets),
             "closures_memoized": len(self._closure_cache),
             "closure_hits": self.closure_hits,
             "closure_misses": self.closure_misses,

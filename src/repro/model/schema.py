@@ -44,11 +44,6 @@ class RelationSchema:
     def __contains__(self, attribute: str) -> bool:
         return attribute in self.attributes
 
-    def has_attributes(self, attrs: Iterable[str]) -> bool:
-        """Return ``True`` when every attribute in ``attrs`` belongs here."""
-        own = set(self.attributes)
-        return all(attr in own for attr in as_attribute_sequence(attrs))
-
     def position(self, attribute: str) -> int:
         """Zero-based column index of ``attribute``.
 

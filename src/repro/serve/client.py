@@ -3,10 +3,10 @@
 Built on :mod:`http.client` so it needs nothing outside the standard
 library and works from synchronous code (shell scripts via ``repro
 call``, pytest, examples).  One :class:`ServeClient` holds one
-keep-alive connection; methods mirror the server's routes and return
-the decoded JSON payload.  Non-2xx responses raise
-:class:`~repro.serve.protocol.ServeError` carrying the server's status
-and message, so callers see the same exception type the server raised.
+keep-alive connection and returns each route's decoded JSON payload.
+Non-2xx responses raise :class:`~repro.serve.protocol.ServeError`
+carrying the server's status and message, so callers see the same
+exception type the server raised.
 
 Transport failures — a stale keep-alive the server closed between
 calls, a connection dropped mid-response, a refused connect while the
@@ -17,22 +17,22 @@ multiplied by a random jitter factor so a fleet of recovering clients
 does not reconnect in lockstep).  HTTP *error responses* are never
 retried: the server spoke, the answer stands.
 
-Retrying a mutation is only safe if it cannot double-apply, so
-:meth:`add` and :meth:`retract` attach a generated UUID idempotency
-``key`` (or the caller's own) — the server records the key's result in
-the tenant WAL, and a retry of an already-applied mutation replays the
-recorded result instead of mutating again, even across a server crash
-and restart.
+The tenant routes are stated once, in :class:`TenantRoutes`, which
+both clients inherit.  Retrying a mutation is only safe if it cannot
+double-apply, so ``add`` and ``retract`` attach a generated UUID
+idempotency ``key`` (or the caller's own) — the server records the
+key's result in the tenant WAL, and a retry of an already-applied
+mutation replays that result, even across a server crash and restart.
 
-:class:`FailoverClient` lifts the same surface over a replicated
+:class:`FailoverClient` serves the same routes over a replicated
 deployment (see :mod:`repro.serve.replication`): given a list of
 ``host:port`` endpoints it discovers who leads by polling ``/health``
 (the claimant with the highest ``term`` wins), spreads reads
 round-robin across followers (falling back to the primary), sends
-mutations to the primary only, and re-resolves on connection failure
-or a 421 redirect — pinning one idempotency key per logical mutation
-so the retry that lands on a freshly promoted follower replays
-exactly-once instead of double-applying.
+mutations and tenant creates and drops to the primary only, and
+re-resolves on connection failure or a 421 redirect — resending the
+same idempotency key, so the retry that lands on a freshly promoted
+follower replays exactly-once instead of double-applying.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import time
 import uuid
 from typing import Any, Callable, Optional
 
-from repro.serve.protocol import ServeError
+from repro.serve.protocol import ServeError, parse_endpoint
 
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_RETRIES = 3
@@ -54,7 +54,135 @@ DEFAULT_BACKOFF_MAX = 2.0
 _RETRYABLE = (http.client.HTTPException, ConnectionError, OSError)
 
 
-class ServeClient:
+class TenantRoutes:
+    """The ten tenant routes, stated once for both clients.
+
+    Each route builds its request and hands it to the client's
+    ``_call(kind, method, path, payload)``.  ``kind`` is ``"read"``,
+    which any replica may serve, or ``"primary"`` (a mutation, or a
+    tenant create or drop).  The server enforces the same split, with a
+    421 and its ``max_lag`` check.  Leaving a ``with`` block closes the
+    client.
+    """
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc_info: Any) -> None:
+        self.close()
+
+    # -- tenant lifecycle ----------------------------------------------------
+
+    def tenants(self) -> list[str]:
+        return self._call("read", "GET", "/tenants")["tenants"]
+
+    def create_tenant(
+        self,
+        name: str,
+        bundle: dict[str, Any],
+        options: Optional[dict[str, int]] = None,
+    ) -> dict[str, Any]:
+        payload: dict[str, Any] = {"name": name, "bundle": bundle}
+        if options is not None:
+            payload["options"] = options
+        return self._call("primary", "POST", "/tenants", payload)
+
+    def tenant_stats(self, name: str) -> dict[str, Any]:
+        return self._call("read", "GET", f"/tenants/{name}/stats")
+
+    def drop_tenant(self, name: str) -> dict[str, Any]:
+        return self._call("primary", "DELETE", f"/tenants/{name}")
+
+    # -- tenant operations ---------------------------------------------------
+
+    def implies(
+        self,
+        tenant: str,
+        target: str,
+        semantics: str = "unrestricted",
+        deadline_ms: Optional[float] = None,
+        max_lag: Optional[int] = None,
+    ) -> dict[str, Any]:
+        payload: dict[str, Any] = {"target": target, "semantics": semantics}
+        if deadline_ms is not None:
+            payload["deadline_ms"] = deadline_ms
+        if max_lag is not None:
+            payload["max_lag"] = max_lag
+        return self._call(
+            "read", "POST", f"/tenants/{tenant}/implies", payload
+        )
+
+    def implies_all(
+        self,
+        tenant: str,
+        targets: list[str],
+        semantics: str = "unrestricted",
+        deadline_ms: Optional[float] = None,
+        max_lag: Optional[int] = None,
+    ) -> dict[str, Any]:
+        payload: dict[str, Any] = {"targets": targets, "semantics": semantics}
+        if deadline_ms is not None:
+            payload["deadline_ms"] = deadline_ms
+        if max_lag is not None:
+            payload["max_lag"] = max_lag
+        return self._call(
+            "read", "POST", f"/tenants/{tenant}/implies_all", payload
+        )
+
+    def add(
+        self,
+        tenant: str,
+        dependencies: list[str],
+        key: Optional[str] = None,
+    ) -> dict[str, Any]:
+        # Pin the idempotency key before the retry loop: the attempt
+        # that lands on a freshly promoted follower must replay, not
+        # re-apply.
+        payload = {
+            "dependencies": dependencies,
+            "key": key if key is not None else str(uuid.uuid4()),
+        }
+        return self._call(
+            "primary", "POST", f"/tenants/{tenant}/add", payload
+        )
+
+    def retract(
+        self,
+        tenant: str,
+        dependencies: list[str],
+        key: Optional[str] = None,
+    ) -> dict[str, Any]:
+        payload = {
+            "dependencies": dependencies,
+            "key": key if key is not None else str(uuid.uuid4()),
+        }
+        return self._call(
+            "primary", "POST", f"/tenants/{tenant}/retract", payload
+        )
+
+    def whatif(
+        self,
+        tenant: str,
+        targets: list[str],
+        add: Optional[list[str]] = None,
+        retract: Optional[list[str]] = None,
+        semantics: str = "unrestricted",
+    ) -> dict[str, Any]:
+        return self._call(
+            "read", "POST", f"/tenants/{tenant}/whatif",
+            {
+                "targets": targets,
+                "add": add or [],
+                "retract": retract or [],
+                "semantics": semantics,
+            },
+        )
+
+    def check(self, tenant: str) -> dict[str, Any]:
+        return self._call("read", "POST", f"/tenants/{tenant}/check", {})
+
+
+class ServeClient(TenantRoutes):
     """Blocking JSON-over-HTTP client for a running reasoning server."""
 
     def __init__(
@@ -184,12 +312,6 @@ class ServeClient:
             finally:
                 self._conn = None
 
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *_exc_info: Any) -> None:
-        self.close()
-
     # -- server-level routes -----------------------------------------------
 
     def health(self) -> dict[str, Any]:
@@ -202,131 +324,26 @@ class ServeClient:
         """Ask the server to drain and exit (graceful, like SIGTERM)."""
         return self.request("POST", "/shutdown")
 
-    # -- tenant lifecycle ----------------------------------------------------
-
-    def tenants(self) -> list[str]:
-        return self.request("GET", "/tenants")["tenants"]
-
-    def create_tenant(
-        self,
-        name: str,
-        bundle: dict[str, Any],
-        options: Optional[dict[str, int]] = None,
-    ) -> dict[str, Any]:
-        payload: dict[str, Any] = {"name": name, "bundle": bundle}
-        if options is not None:
-            payload["options"] = options
-        return self.request("POST", "/tenants", payload)
-
-    def tenant_stats(self, name: str) -> dict[str, Any]:
-        return self.request("GET", f"/tenants/{name}/stats")
-
-    def drop_tenant(self, name: str) -> dict[str, Any]:
-        return self.request("DELETE", f"/tenants/{name}")
-
-    # -- tenant operations ---------------------------------------------------
-
-    def implies(
-        self,
-        tenant: str,
-        target: str,
-        semantics: str = "unrestricted",
-        deadline_ms: Optional[float] = None,
-        max_lag: Optional[int] = None,
-    ) -> dict[str, Any]:
-        payload: dict[str, Any] = {"target": target, "semantics": semantics}
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        if max_lag is not None:
-            payload["max_lag"] = max_lag
-        return self.request(
-            "POST", f"/tenants/{tenant}/implies", payload
-        )
-
-    def implies_all(
-        self,
-        tenant: str,
-        targets: list[str],
-        semantics: str = "unrestricted",
-        deadline_ms: Optional[float] = None,
-        max_lag: Optional[int] = None,
-    ) -> dict[str, Any]:
-        payload: dict[str, Any] = {"targets": targets, "semantics": semantics}
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        if max_lag is not None:
-            payload["max_lag"] = max_lag
-        return self.request(
-            "POST", f"/tenants/{tenant}/implies_all", payload
-        )
-
-    def add(
-        self,
-        tenant: str,
-        dependencies: list[str],
-        key: Optional[str] = None,
-    ) -> dict[str, Any]:
-        return self.request(
-            "POST",
-            f"/tenants/{tenant}/add",
-            {
-                "dependencies": dependencies,
-                "key": key if key is not None else str(uuid.uuid4()),
-            },
-        )
-
-    def retract(
-        self,
-        tenant: str,
-        dependencies: list[str],
-        key: Optional[str] = None,
-    ) -> dict[str, Any]:
-        return self.request(
-            "POST",
-            f"/tenants/{tenant}/retract",
-            {
-                "dependencies": dependencies,
-                "key": key if key is not None else str(uuid.uuid4()),
-            },
-        )
-
-    def whatif(
-        self,
-        tenant: str,
-        targets: list[str],
-        add: Optional[list[str]] = None,
-        retract: Optional[list[str]] = None,
-        semantics: str = "unrestricted",
-    ) -> dict[str, Any]:
-        return self.request(
-            "POST",
-            f"/tenants/{tenant}/whatif",
-            {
-                "targets": targets,
-                "add": add or [],
-                "retract": retract or [],
-                "semantics": semantics,
-            },
-        )
-
-    def check(self, tenant: str) -> dict[str, Any]:
-        return self.request("POST", f"/tenants/{tenant}/check", {})
+    def _call(self, kind: str, method: str, path: str, payload=None):
+        """One node serves every route, whatever its kind."""
+        return self.request(method, path, payload)
 
 
-class FailoverClient:
-    """:class:`ServeClient` over a replicated deployment.
+class FailoverClient(TenantRoutes):
+    """The tenant routes over a replicated deployment.
 
     Holds one :class:`ServeClient` per known endpoint.  ``resolve``
     polls ``/health`` across the fleet and crowns the reachable node
     claiming ``role == "primary"`` with the highest ``term`` — the
     fencing rule guarantees at most one *legitimate* claimant per term,
     so the highest term is the current leader.  Reads rotate across
-    followers and fall back to the primary; mutations go to the
+    followers and fall back to the primary; primary routes go to the
     primary, re-resolving (bounded by ``failover_timeout``) on a
     connection failure, a 421 redirect, or a 503 — which is exactly the
-    window a failover opens.  Endpoints named by redirects or health
-    payloads but absent from the constructor list are learned on the
-    fly.
+    window a failover opens.  ``max_lag``, when set, bounds every read
+    the server lag-checks unless the call names its own.  Endpoints
+    named by redirects or health payloads but absent from the
+    constructor list are learned on the fly.
     """
 
     def __init__(
@@ -341,6 +358,8 @@ class FailoverClient:
         if not endpoints:
             raise ValueError("FailoverClient needs at least one endpoint")
         self.endpoints = list(dict.fromkeys(str(e) for e in endpoints))
+        for endpoint in self.endpoints:
+            parse_endpoint(endpoint)
         self.timeout = timeout
         self.failover_timeout = failover_timeout
         self.poll_interval = poll_interval
@@ -360,14 +379,8 @@ class FailoverClient:
     def _client(self, endpoint: str) -> ServeClient:
         client = self._clients.get(endpoint)
         if client is None:
-            host, _, port_text = endpoint.rpartition(":")
-            if not host:
-                raise ValueError(
-                    f"endpoint must be 'host:port', got {endpoint!r}"
-                )
-            client = ServeClient(
-                host, int(port_text), timeout=self.timeout, retries=1
-            )
+            host, port = parse_endpoint(endpoint)
+            client = ServeClient(host, port, timeout=self.timeout, retries=1)
             self._clients[endpoint] = client
         return client
 
@@ -436,16 +449,10 @@ class FailoverClient:
         for client in self._clients.values():
             client.close()
 
-    def __enter__(self) -> "FailoverClient":
-        return self
-
-    def __exit__(self, *_exc_info: Any) -> None:
-        self.close()
-
     # -- routing -----------------------------------------------------------
 
-    def _on_primary(self, call: Callable[[ServeClient], dict[str, Any]]):
-        """Run ``call`` against the primary, chasing it through failover."""
+    def _on_primary(self, method: str, path: str, payload=None):
+        """Send the request to the primary, chasing it through failover."""
         deadline = time.monotonic() + self.failover_timeout
         last: Optional[BaseException] = None
         while True:
@@ -453,7 +460,7 @@ class FailoverClient:
             if primary is not None:
                 client = self._client(primary)
                 try:
-                    return call(client)
+                    return client.request(method, path, payload)
                 except ServeError as exc:
                     if exc.status == 421:
                         self.redirects += 1
@@ -494,8 +501,8 @@ class FailoverClient:
             order.append(self._primary)
         return order or list(self.endpoints)
 
-    def _read(self, call: Callable[[ServeClient], dict[str, Any]]):
-        """Run ``call`` against followers first, primary as a last resort.
+    def _read(self, method: str, path: str, payload=None):
+        """Send the request to followers first, primary as a last resort.
 
         A 503 (lag bound exceeded, draining) or 404 (tenant not
         bootstrapped on that follower yet) falls through to the next
@@ -505,7 +512,7 @@ class FailoverClient:
         for endpoint in self._read_order():
             client = self._client(endpoint)
             try:
-                return call(client)
+                return client.request(method, path, payload)
             except ServeError as exc:
                 if exc.status in (404, 421, 503):
                     last = exc
@@ -524,88 +531,11 @@ class FailoverClient:
             + (f" (last: {last})" if last is not None else ""),
         )
 
-    # -- the ServeClient surface -------------------------------------------
-
-    def implies(
-        self,
-        tenant: str,
-        target: str,
-        semantics: str = "unrestricted",
-        deadline_ms: Optional[float] = None,
-        max_lag: Optional[int] = None,
-    ) -> dict[str, Any]:
-        bound = max_lag if max_lag is not None else self.max_lag
-        return self._read(lambda c: c.implies(
-            tenant, target, semantics=semantics,
-            deadline_ms=deadline_ms, max_lag=bound,
-        ))
-
-    def implies_all(
-        self,
-        tenant: str,
-        targets: list[str],
-        semantics: str = "unrestricted",
-        deadline_ms: Optional[float] = None,
-        max_lag: Optional[int] = None,
-    ) -> dict[str, Any]:
-        bound = max_lag if max_lag is not None else self.max_lag
-        return self._read(lambda c: c.implies_all(
-            tenant, targets, semantics=semantics,
-            deadline_ms=deadline_ms, max_lag=bound,
-        ))
-
-    def whatif(
-        self,
-        tenant: str,
-        targets: list[str],
-        add: Optional[list[str]] = None,
-        retract: Optional[list[str]] = None,
-        semantics: str = "unrestricted",
-    ) -> dict[str, Any]:
-        return self._read(lambda c: c.whatif(
-            tenant, targets, add=add, retract=retract, semantics=semantics,
-        ))
-
-    def check(self, tenant: str) -> dict[str, Any]:
-        return self._read(lambda c: c.check(tenant))
-
-    def add(
-        self,
-        tenant: str,
-        dependencies: list[str],
-        key: Optional[str] = None,
-    ) -> dict[str, Any]:
-        # Pin the idempotency key before the retry loop: the attempt
-        # that lands on a freshly promoted follower must replay, not
-        # re-apply.
-        pinned = key if key is not None else str(uuid.uuid4())
-        return self._on_primary(
-            lambda c: c.add(tenant, dependencies, key=pinned)
-        )
-
-    def retract(
-        self,
-        tenant: str,
-        dependencies: list[str],
-        key: Optional[str] = None,
-    ) -> dict[str, Any]:
-        pinned = key if key is not None else str(uuid.uuid4())
-        return self._on_primary(
-            lambda c: c.retract(tenant, dependencies, key=pinned)
-        )
-
-    def create_tenant(
-        self,
-        name: str,
-        bundle: dict[str, Any],
-        options: Optional[dict[str, int]] = None,
-    ) -> dict[str, Any]:
-        return self._on_primary(
-            lambda c: c.create_tenant(name, bundle, options=options)
-        )
-
-    def drop_tenant(self, name: str) -> dict[str, Any]:
-        return self._on_primary(lambda c: c.drop_tenant(name))
-
-    def tenants(self) -> list[str]:
-        return self._read(lambda c: {"tenants": c.tenants()})["tenants"]
+    def _call(self, kind: str, method: str, path: str, payload=None):
+        """Reads go followers-first, bounded by ``max_lag`` unless the
+        call set its own; the rest chase the primary."""
+        if kind == "primary":
+            return self._on_primary(method, path, payload)
+        if payload is not None and self.max_lag is not None:
+            payload.setdefault("max_lag", self.max_lag)
+        return self._read(method, path, payload)

@@ -10,6 +10,10 @@ requests with :func:`read_request` and answers with
 :mod:`repro.serve.client` builds on :mod:`http.client` and shares only
 the payload conventions.
 
+Every node is addressed as ``"host:port"``; :func:`parse_endpoint` is
+the one parser of that form, shared by the client, the server and the
+replication module.
+
 Error convention: every non-2xx response carries
 ``{"error": <message>, "status": <code>}``.  Server-side handlers
 raise :class:`ServeError` (or any :class:`~repro.exceptions.ReproError`,
@@ -232,3 +236,17 @@ def error_payload(
     if extra:
         payload.update(extra)
     return payload
+
+
+def parse_endpoint(text: str) -> tuple[str, int]:
+    """Split ``"host:port"``; raises :class:`ValueError` when malformed."""
+    host, sep, port_text = text.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"endpoint must be 'host:port', got {text!r}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ValueError(f"endpoint port must be an integer, got {text!r}")
+    if not (0 < port < 65536):
+        raise ValueError(f"endpoint port out of range: {text!r}")
+    return host, port

@@ -270,12 +270,12 @@ class Tenant:
         The mutation is logged (fsync'd when durable) before this
         returns, and the result carries its ``seq``.
         """
+        if key is not None and (not isinstance(key, str) or not key):
+            raise ServeError(400, "'key' must be a non-empty string")
         deps = list(dependencies)
         if not deps:
             raise ServeError(400, f"{kind} needs at least one dependency")
         if key is not None:
-            if not isinstance(key, str) or not key:
-                raise ServeError(400, "'key' must be a non-empty string")
             replay = self.store.applied.get(key)
             if replay is not None:
                 self.replayed_mutations += 1

@@ -55,7 +55,7 @@ from repro.serve.faults import (
     PARTITION_REPLICATION,
     REPLICATION_LAG,
 )
-from repro.serve.protocol import ServeError
+from repro.serve.protocol import ServeError, parse_endpoint
 
 DEFAULT_HEARTBEAT = 1.0
 """Seconds between a follower's heartbeats to its primary."""
@@ -68,20 +68,6 @@ FORWARD_TIMEOUT = 5.0
 
 BOOTSTRAP_TIMEOUT = 30.0
 """Bound on a snapshot pull (bundles with databases can be large)."""
-
-
-def parse_endpoint(text: str) -> tuple[str, int]:
-    """Split ``"host:port"``; raises :class:`ValueError` when malformed."""
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"endpoint must be 'host:port', got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"endpoint port must be an integer, got {text!r}")
-    if not (0 < port < 65536):
-        raise ValueError(f"endpoint port out of range: {text!r}")
-    return host, port
 
 
 async def replication_request(

@@ -69,6 +69,7 @@ from repro.serve.protocol import (
     ServeError,
     error_payload,
     json_response,
+    parse_endpoint,
     read_request,
     text_response,
 )
@@ -79,7 +80,6 @@ from repro.serve.replication import (
     FollowerReplicator,
     PrimaryReplicator,
     apply_envelope,
-    parse_endpoint,
 )
 
 DEFAULT_HOST = "127.0.0.1"
@@ -115,15 +115,6 @@ def _string_list(body: dict[str, Any], key: str) -> list[str]:
     ):
         raise ServeError(400, f"{key!r} must be a list of DSL strings")
     return value
-
-
-def _key_of(body: dict[str, Any]) -> Optional[str]:
-    key = body.get("key")
-    if key is None:
-        return None
-    if not isinstance(key, str) or not key:
-        raise ServeError(400, "'key' must be a non-empty string")
-    return key
 
 
 class ReasoningServer:
@@ -774,7 +765,7 @@ class ReasoningServer:
             self._require_primary(f"'{op}'")
             mutate_start = time.perf_counter()
             result = tenant.mutate(
-                op, _string_list(body, "dependencies"), key=_key_of(body),
+                op, _string_list(body, "dependencies"), key=body.get("key"),
                 trace=trace,
             )
             trace.add_span(

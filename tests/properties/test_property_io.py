@@ -69,7 +69,7 @@ class TestSessionRoundTrip:
     def test_session_premise_buckets_partition_the_premises(self, bundle):
         schema, deps, db = bundle
         session = session_from_json(bundle_to_json(schema, deps, db))
-        bucketed = sum(len(b) for b in session.index.inds_by_lhs.values())
+        bucketed = len(session.index.ind_kernels)
         assert bucketed == len(session.index.inds)
         bucketed_fds = sum(
             len(b) for b in session.index.fds_by_relation.values()

@@ -429,6 +429,19 @@ class TestErrors:
             client.request("POST", f"/tenants/{tenant}/implies", {})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("key", ["", 5])
+    @pytest.mark.parametrize("deps", [["PERSON[NAME] <= EMP[NAME]"], []])
+    def test_bad_idempotency_key_is_400(self, client, tenant, key, deps):
+        with pytest.raises(ServeError) as excinfo:
+            client.request(
+                "POST",
+                f"/tenants/{tenant}/add",
+                {"dependencies": deps, "key": key},
+            )
+        assert excinfo.value.status == 400
+        assert str(excinfo.value) == "'key' must be a non-empty string"
+        assert client.tenant_stats(tenant)["version"] == 0
+
     def test_unknown_semantics_is_400(self, client, tenant):
         with pytest.raises(ServeError) as excinfo:
             client.request(
