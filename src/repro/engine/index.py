@@ -55,6 +55,25 @@ from repro.core.ind_kernel import KernelIndex
 from repro.core.reach_index import ReachIndex
 
 
+def premise_hash_of(
+    schema: DatabaseSchema, premises: Iterable[Dependency]
+) -> str:
+    """The structural hash :attr:`PremiseIndex.premise_hash` memoizes.
+
+    A function of (schema, premises) alone, so a serving checkpoint can
+    hash a frozen premise tuple off the event loop without touching the
+    live index.
+    """
+    digest = hashlib.sha256()
+    for rel in sorted(schema, key=lambda r: r.name):
+        digest.update(f"{rel.name}({','.join(rel.attributes)})".encode())
+    digest.update(b"|")
+    for line in sorted(str(dep) for dep in premises):
+        digest.update(line.encode())
+        digest.update(b";")
+    return digest.hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class MutationDelta:
     """What one :meth:`PremiseIndex.add` / ``retract`` call changed.
@@ -355,17 +374,7 @@ class PremiseIndex:
         """
         memo = self._hash_memo
         if memo is None:
-            digest = hashlib.sha256()
-            for rel in sorted(self.schema, key=lambda r: r.name):
-                digest.update(
-                    f"{rel.name}({','.join(rel.attributes)})".encode()
-                )
-            digest.update(b"|")
-            for line in sorted(str(dep) for dep in self._deps):
-                digest.update(line.encode())
-                digest.update(b";")
-            memo = digest.hexdigest()[:16]
-            self._hash_memo = memo
+            memo = self._hash_memo = premise_hash_of(self.schema, self._deps)
         return memo
 
     def adopt_compiled(self, donor: "PremiseIndex") -> None:

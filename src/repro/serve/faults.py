@@ -13,6 +13,11 @@ after the WAL append but before the response, say.  A
 * ``crash-after-wal-append`` — the process dies after the record is
   fsync'd but before the client sees a response.  The mutation must
   *survive* restart; a keyed client retry must dedup, not double-apply.
+* ``crash-in-snapshot`` — the process dies inside a checkpoint, after
+  the new snapshot's temp file is fsync'd and before its rename.  The
+  old snapshot plus the rolled-off WAL segment must recover every
+  acknowledged mutation, the one whose write came due for the
+  checkpoint included.
 * ``drop-connection`` — the server writes a few response bytes, then
   slams the socket shut mid-response (what a dying load balancer looks
   like to the client).
@@ -49,6 +54,7 @@ from typing import Optional
 
 CRASH_BEFORE_WAL_APPEND = "crash-before-wal-append"
 CRASH_AFTER_WAL_APPEND = "crash-after-wal-append"
+CRASH_IN_SNAPSHOT = "crash-in-snapshot"
 DROP_CONNECTION = "drop-connection"
 LATENCY = "latency"
 PARTITION_REPLICATION = "partition-replication"
@@ -57,6 +63,7 @@ REPLICATION_LAG = "replication-lag"
 FAULT_POINTS = (
     CRASH_BEFORE_WAL_APPEND,
     CRASH_AFTER_WAL_APPEND,
+    CRASH_IN_SNAPSHOT,
     DROP_CONNECTION,
     LATENCY,
     PARTITION_REPLICATION,

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import asyncio
 import re
+import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.deps.base import Dependency
 from repro.engine.answer import Semantics
+from repro.engine.index import premise_hash_of
 from repro.engine.session import ReasoningSession
 from repro.io import (
     apply_patch,
@@ -120,16 +123,43 @@ def session_options_of(payload: Any) -> dict[str, int]:
     return options
 
 
-def bundle_payload_of(session: ReasoningSession) -> dict[str, Any]:
-    """The canonical :mod:`repro.io` bundle of a live session — what
-    snapshots persist and recovery reloads."""
-    payload: dict[str, Any] = {
-        "schema": schema_to_dict(session.schema),
-        "dependencies": [str(dep) for dep in session.dependencies],
-    }
-    if session.db is not None:
-        payload["database"] = database_to_dict(session.db)
-    return payload
+@dataclass(frozen=True)
+class TenantState:
+    """A tenant frozen at one log seq: what its snapshot is built from.
+
+    Every part is immutable or a copy taken at the freeze, so
+    :meth:`payload` can run on a checkpoint worker while the event loop
+    goes on mutating the live session.
+    """
+
+    name: str
+    seq: int
+    term: int
+    options: dict[str, int]
+    applied: dict[str, dict[str, Any]]
+    schema: DatabaseSchema
+    dependencies: tuple[Dependency, ...]
+    db: Optional[Database]
+
+    def payload(self) -> dict[str, Any]:
+        """The snapshot payload: one shape for checkpoints, new stores
+        and follower bootstraps.  Its bundle is the canonical
+        :mod:`repro.io` bundle that recovery reloads."""
+        bundle: dict[str, Any] = {
+            "schema": schema_to_dict(self.schema),
+            "dependencies": [str(dep) for dep in self.dependencies],
+        }
+        if self.db is not None:
+            bundle["database"] = database_to_dict(self.db)
+        return {
+            "name": self.name,
+            "seq": self.seq,
+            "term": self.term,
+            "premise_hash": premise_hash_of(self.schema, self.dependencies),
+            "bundle": bundle,
+            "options": self.options,
+            "applied_keys": self.applied,
+        }
 
 
 def _rebuild(
@@ -224,8 +254,8 @@ class Tenant:
     sees its result, and idempotency keys dedup retried mutations
     against the log's key map.  With ``--state-dir`` the log is a
     :class:`~repro.serve.wal.TenantStore`, so each record is fsync'd,
-    and every ``snapshot_every`` appends the tenant is checkpointed and
-    the WAL truncated.
+    and every ``snapshot_every`` appends the tenant is checkpointed:
+    the WAL rolls before the reply, and a worker writes the snapshot.
     """
 
     def __init__(
@@ -296,7 +326,7 @@ class Tenant:
             key=key, result=result, trace=trace,
         )
         result["seq"] = record["seq"]
-        self._checkpoint_if_due()
+        self._checkpoint_if_due(trace)
         return result
 
     def apply_replicated(self, records: Iterable[Any]) -> int:
@@ -333,36 +363,41 @@ class Tenant:
         self.applied_replicated += applied
         return applied
 
-    def snapshot(self) -> dict[str, Any]:
-        """The tenant's whole state at its log's seq.
+    def freeze(self) -> TenantState:
+        """The tenant's state at its log's seq, from the *live* session:
+        it covers every applied mutation, including ones a disk
+        snapshot has not checkpointed yet."""
+        store, session = self.store, self.session
+        return TenantState(
+            self.name, store.seq, store.term, dict(self.options),
+            dict(store.applied), session.schema, session.dependencies,
+            session.db,
+        )
 
-        One payload serves checkpoints, new stores and follower
-        bootstraps.  It is built from the *live* session, so it covers
-        every applied mutation, including ones a disk snapshot has not
-        checkpointed yet.
-        """
-        store = self.store
-        return {
-            "name": self.name,
-            "seq": store.seq,
-            "term": store.term,
-            "premise_hash": self.session.premise_hash,
-            "bundle": bundle_payload_of(self.session),
-            "options": dict(self.options),
-            "applied_keys": dict(store.applied),
-        }
+    def snapshot(self) -> dict[str, Any]:
+        """The tenant's whole state at its log's seq, as a payload."""
+        return self.freeze().payload()
 
     def checkpoint(self) -> None:
-        """Snapshot a durable tenant's state; truncates its WAL."""
+        """Snapshot a durable tenant's state before returning."""
         if self.store.durable:
             self.store.write_snapshot(self.snapshot())
 
-    def _checkpoint_if_due(self) -> None:
+    def _checkpoint_if_due(self, trace: Optional[Trace] = None) -> None:
+        """Checkpoint every ``snapshot_every`` appends: the WAL rolls
+        here, and the snapshot is built from the frozen state on the
+        store's worker.  A ``trace`` receives a ``checkpoint`` span."""
         store = self.store
         if store.durable and (
             store.appends_since_snapshot >= self.snapshot_every
         ):
-            self.checkpoint()
+            started = time.perf_counter()
+            store.checkpoint(self.freeze().payload)
+            if trace is not None:
+                trace.add_span(
+                    "checkpoint", time.perf_counter() - started,
+                    seq=store.seq,
+                )
 
     async def whatif_async(
         self,
@@ -438,8 +473,8 @@ class TenantRegistry:
     The registry owns the process's :class:`~repro.obs.metrics.
     MetricsRegistry` (a server scrapes it as ``/metrics``) and builds
     every tenant in one place, :meth:`_install`, which hands each
-    tenant's coalescer and WAL the shared batch-size and fsync
-    histograms.
+    tenant's coalescer and WAL the shared batch-size, fsync and
+    snapshot instruments.
 
     With a :class:`~repro.serve.wal.StateDir` the registry is durable:
     tenants persisted in an earlier process are recovered in
@@ -469,6 +504,13 @@ class TenantRegistry:
         )
         self.fsync_seconds = metrics.histogram(
             "repro_wal_fsync_seconds", "WAL record write+fsync latency"
+        )
+        self.snapshot_seconds = metrics.histogram(
+            "repro_wal_snapshot_seconds",
+            "Checkpoint worker wall time: build, encode and fsync a snapshot",
+        )
+        self.snapshot_failures = metrics.counter(
+            "repro_wal_snapshot_failures_total", "Checkpoint workers that raised"
         )
         metrics.register_collector(self._collect_metrics)
         if state_dir is not None:
@@ -547,6 +589,8 @@ class TenantRegistry:
             if not store.durable:
                 tenant.store = self.state_dir.create_tenant(tenant.snapshot())
             tenant.store.on_fsync = self.fsync_seconds.observe
+            tenant.store.on_snapshot = self.snapshot_seconds.observe
+            tenant.store.on_snapshot_failure = self.snapshot_failures.inc
         self.tenants[name] = tenant
         return tenant
 

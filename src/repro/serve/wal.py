@@ -12,18 +12,26 @@ small, mutations are rare relative to reads):
   idempotency ``key``, and the result payload the client was (or will
   be) told — and the line is flushed and fsync'd before the server
   responds, so an acknowledged mutation is on disk;
-* every ``snapshot_every`` appends (and at tenant creation) the full
-  premise bundle is checkpointed to ``snapshot.json`` — written to a
-  temp file, fsync'd, and atomically renamed — together with the
-  session's ``premise_hash``, the WAL ``seq`` the snapshot covers, and
-  the recent idempotency-key results; the WAL is then truncated.
+* every ``snapshot_every`` appends the tenant checkpoints.  At seq N
+  the writer *rolls* the log: ``wal.jsonl`` is closed and renamed to
+  the closed segment ``wal-N.jsonl``, a fresh ``wal.jsonl`` is opened,
+  and the directory is fsync'd — all before the reply.  A worker
+  thread then builds the full premise bundle from inputs frozen at N,
+  writes it to ``snapshot.json`` — a temp file, fsync'd, atomically
+  renamed — together with the session's ``premise_hash``, the seq it
+  covers and the recent idempotency-key results, and only then deletes
+  the segments it covers.  At tenant creation and graceful shutdown the
+  same steps run before returning.
 
 Recovery (:meth:`StateDir.recover` + the registry's replay) rebuilds
-each tenant by loading the snapshot bundle and re-applying the WAL
-tail — only records with ``seq`` greater than the snapshot's, so a
-crash *between* the snapshot rename and the WAL truncation replays
-nothing twice.  The recovered session's ``premise_hash`` is compared
-against the snapshot's as a corruption check.
+each tenant by loading the snapshot bundle and re-applying the log
+tail: the closed segments in seq order, then ``wal.jsonl``, keeping only
+records with ``seq`` greater than the snapshot's.  So a crash anywhere
+in a checkpoint loses nothing and replays nothing twice: before the
+rename the old snapshot plus the segment hold the history, after it
+the new snapshot makes the segment's records stale.  The recovered
+session's ``premise_hash`` is compared against the snapshot's as a
+corruption check.
 
 Idempotency keys make retried mutations exactly-once across crashes: a
 key seen in the snapshot map or the replayed tail short-circuits to
@@ -62,28 +70,38 @@ The on-disk layout under ``--state-dir``::
       tenants/
         <url-quoted tenant name>/
           snapshot.json   # bundle + premise_hash + seq + term + applied keys
-          wal.jsonl       # patch records with seq > snapshot seq
+          wal-<seq>.jsonl # closed segment: records up to seq, rolled off
+                          # at a checkpoint not yet durable (one while it
+                          # runs; more only after one failed or crashed)
+          wal.jsonl       # the active log: records since the last roll
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
+import re
 import shutil
+import threading
 import time
 import urllib.parse
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs.tracing import Trace
 from repro.serve.faults import CRASH_AFTER_WAL_APPEND, CRASH_BEFORE_WAL_APPEND
-from repro.serve.faults import NO_FAULTS, FaultInjector
+from repro.serve.faults import CRASH_IN_SNAPSHOT, NO_FAULTS, FaultInjector
 from repro.serve.protocol import ServeError
 
 SNAPSHOT_FILE = "snapshot.json"
 WAL_FILE = "wal.jsonl"
+SEGMENT_FILE = "wal-{}.jsonl"
+SEGMENT = re.compile(r"wal-(\d+)\.jsonl")
 META_FILE = "meta.json"
 DEFAULT_SNAPSHOT_EVERY = 64
 MAX_APPLIED_KEYS = 1024
+
+log = logging.getLogger(__name__)
 
 
 def _fsync_dir(path: str) -> None:
@@ -220,9 +238,14 @@ class TenantStore(TenantLog):
 
     :meth:`append` writes, flushes and fsyncs each record between the
     two crash fault points before it returns — the WAL's
-    acknowledgment contract.  :meth:`write_snapshot` checkpoints the
-    tenant atomically and truncates the WAL, and :meth:`open` rebuilds
-    the log (seq, term, keys) from the snapshot plus the replayed tail.
+    acknowledgment contract.  :meth:`checkpoint` rolls the WAL and
+    leaves the snapshot to a worker thread; :meth:`write_snapshot` runs
+    the same steps before it returns.  :meth:`open` rebuilds the log
+    (seq, term, keys) from the snapshot plus the replayed tail.
+
+    One lock orders the files a reader lists: :meth:`read_from` holds
+    it across its read, and the appends, the roll and the worker's
+    segment deletion each take it, so a tail read never sees a gap.
     """
 
     durable = True
@@ -234,13 +257,26 @@ class TenantStore(TenantLog):
         self.base_seq = 0
         self.appends = 0
         self.snapshots = 0
+        self.snapshot_failures = 0
         self.appends_since_snapshot = 0
         self._wal = None
+        self._lock = threading.Lock()
+        # The checkpoint in flight, and what it left: its wall time in
+        # seconds, or the exception it raised.
+        self._worker: Optional[threading.Thread] = None
+        self._outcome: Any = None
         # Set by the tenant registry when it installs the tenant: called
         # with each record write's fsync wall time (seconds).  Replicated
         # appends report through the same hook, so follower fsyncs are
-        # observed too.
+        # observed too.  The snapshot hooks are called on the writer's
+        # thread when it reads a finished worker's result.
         self.on_fsync: Optional[Callable[[float], None]] = None
+        self.on_snapshot: Optional[Callable[[float], None]] = None
+        self.on_snapshot_failure: Optional[Callable[[], None]] = None
+
+    @property
+    def _wal_path(self) -> str:
+        return os.path.join(self.path, WAL_FILE)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -261,7 +297,7 @@ class TenantStore(TenantLog):
         store = cls(path, faults)
         store.resume(snapshot)
         store.base_seq = store.seq
-        store._write_snapshot(snapshot)
+        store._install_snapshot(store._write_snapshot(snapshot))
         store._open_wal(truncate=True)
         return store
 
@@ -273,7 +309,9 @@ class TenantStore(TenantLog):
 
         The tail contains only records newer than the snapshot, in seq
         order; ``store.seq`` resumes from the last durable record so
-        appended sequence numbers never repeat.
+        appended sequence numbers never repeat.  A torn final record is
+        cut off ``wal.jsonl`` (and the cut fsync'd) before anything is
+        appended after it.
         """
         store = cls(path, faults)
         snapshot_path = os.path.join(path, SNAPSHOT_FILE)
@@ -288,74 +326,64 @@ class TenantStore(TenantLog):
             raise WalCorruption(f"malformed snapshot at {snapshot_path}")
         store.resume(snapshot)
         store.base_seq = store.seq
-        tail = [
-            record for record in store._read_wal()
-            if record["seq"] > store.base_seq
-        ]
+        tail, good_end = store._records_after(store.base_seq)
         for record in tail:
             store._advance(record)
-        store._open_wal(truncate=False)
+        store._open_wal(truncate=not os.path.exists(store._wal_path))
+        wal = store._wal
+        if os.fstat(wal.fileno()).st_size > good_end:
+            wal.truncate(good_end)
+            os.fsync(wal.fileno())
         return store, snapshot, tail
 
     def close(self) -> None:
+        """Finish the checkpoint in flight, then release the WAL file."""
+        self.join_checkpoint()
         if self._wal is not None:
             self._wal.close()
             self._wal = None
 
     def _open_wal(self, truncate: bool) -> None:
         self.close()
-        wal_path = os.path.join(self.path, WAL_FILE)
-        self._wal = open(wal_path, "w" if truncate else "a", encoding="utf-8")
+        self._wal = open(
+            self._wal_path, "w" if truncate else "a", encoding="utf-8"
+        )
         if truncate:
             self._wal.flush()
             os.fsync(self._wal.fileno())
             _fsync_dir(self.path)
 
-    def _read_wal(self) -> Iterator[dict[str, Any]]:
-        """Yield valid WAL records in file order, streaming line by line.
+    def _segments(self) -> list[tuple[int, str]]:
+        """The closed segments as ``(last seq, path)``, in seq order."""
+        segments = []
+        for entry in os.listdir(self.path):
+            match = SEGMENT.fullmatch(entry)
+            if match:
+                segments.append(
+                    (int(match.group(1)), os.path.join(self.path, entry))
+                )
+        return sorted(segments)
 
-        A torn final record — the crash arrived mid-append, before the
-        fsync that would have acknowledged it — is discarded, matching
-        the contract that an unacknowledged mutation may be lost; any
-        blank lines trailing it are padding, not records, so they do
-        not promote the tear to corruption.  A torn or unparsable line
-        followed by *more records* is real corruption and raises.  The
-        file is never slurped whole: a multi-thousand-record tail
-        recovers in constant memory.
-        """
-        wal_path = os.path.join(self.path, WAL_FILE)
-        try:
-            fp = open(wal_path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return
-        with fp:
-            torn: Optional[tuple[int, str]] = None
-            for number, line in enumerate(fp, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                if torn is not None:
-                    raise WalCorruption(
-                        f"corrupt WAL record at {wal_path}:{torn[0]}: "
-                        f"{torn[1]}"
-                    )
-                try:
-                    record = json.loads(stripped)
-                    if not isinstance(record, dict) or "seq" not in record:
-                        raise ValueError("record is not an object with 'seq'")
-                except ValueError as exc:
-                    torn = (number, str(exc))
-                    continue
-                yield record
+    def _records_after(
+        self, after: int
+    ) -> tuple[list[dict[str, Any]], int]:
+        """Every record with ``seq > after``: the closed segments in seq
+        order, then ``wal.jsonl``.  Returns them with the byte offset at
+        which ``wal.jsonl``'s last valid record ends."""
+        records: list[dict[str, Any]] = []
+        for last, segment in self._segments():
+            if last > after:
+                records += _scan(segment, after, closed=True)[0]
+        active, good_end = _scan(self._wal_path, after, closed=False)
+        return records + active, good_end
 
     def read_from(self, after: int) -> Optional[list[dict[str, Any]]]:
-        """WAL records with ``seq > after``; ``None`` when ``after``
-        predates the current snapshot (a checkpoint truncated them)."""
-        if after < self.base_seq:
-            return None
-        return [
-            record for record in self._read_wal() if record["seq"] > after
-        ]
+        """Records with ``seq > after``; ``None`` when ``after``
+        predates the current snapshot (a checkpoint deleted them)."""
+        with self._lock:
+            if after < self.base_seq:
+                return None
+            return self._records_after(after)[0]
 
     # -- the write path ----------------------------------------------------
 
@@ -372,8 +400,10 @@ class TenantStore(TenantLog):
         """Write + flush + fsync one record; a ``trace`` receives a
         ``wal-fsync`` span covering it."""
         start = time.perf_counter()
-        self._wal.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._wal.flush()
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+        with self._lock:
+            self._wal.write(line)
+            self._wal.flush()
         os.fsync(self._wal.fileno())
         elapsed = time.perf_counter() - start
         self.appends += 1
@@ -385,38 +415,202 @@ class TenantStore(TenantLog):
 
     # -- checkpoints -------------------------------------------------------
 
-    def write_snapshot(self, snapshot: dict[str, Any]) -> None:
-        """Checkpoint ``snapshot`` and truncate the WAL.
+    def checkpoint(self, build: Callable[[], dict[str, Any]]) -> None:
+        """Checkpoint the log at its seq; the snapshot is written later.
 
-        ``snapshot`` is the tenant's state at this log's ``seq``; the
-        rename is atomic, and a crash before the truncation is handled
-        by recovery's ``seq`` filter.
+        Here, on the writer's thread: wait for the previous checkpoint,
+        then roll the WAL.  A worker thread then calls ``build`` for
+        the snapshot payload — the tenant's state at this seq, from
+        inputs frozen before the call — and writes it; until that is
+        durable, recovery and :meth:`read_from` read the rolled-off
+        segment.
         """
-        self._write_snapshot(snapshot)
-        self._open_wal(truncate=True)
-        self.base_seq = self.seq
+        self.join_checkpoint()
+        seq = self._roll()
+        launched = threading.Event()
+        self._worker = threading.Thread(
+            target=self._run, args=(build, seq, launched),
+            name=f"checkpoint {self.path}",
+        )
+        self._worker.start()
+        launched.set()
+
+    def write_snapshot(self, snapshot: dict[str, Any]) -> None:
+        """Checkpoint ``snapshot`` — the tenant's state at this log's
+        seq — before returning: :meth:`checkpoint`'s steps, inline."""
+        self.join_checkpoint()
+        self._finish(snapshot, self._roll())
+
+    def join_checkpoint(self) -> None:
+        """Wait for the checkpoint worker, if one runs, and read its
+        result: its wall time goes to ``on_snapshot``; a failure is
+        counted, and its segment stays for recovery and the next
+        checkpoint."""
+        worker = self._worker
+        if worker is None:
+            return
+        worker.join()
+        self._worker = None
+        outcome, self._outcome = self._outcome, None
+        if isinstance(outcome, Exception):
+            self.snapshot_failures += 1
+            if self.on_snapshot_failure is not None:
+                self.on_snapshot_failure()
+        elif self.on_snapshot is not None:
+            self.on_snapshot(outcome)
+
+    def _roll(self) -> int:
+        """Start a checkpoint at the log's seq N and return N.
+
+        ``wal.jsonl`` becomes the closed segment ``wal-N.jsonl`` and a
+        fresh one is opened, with one directory fsync, so the next
+        acknowledged record lands in a durably named file.  An active
+        file that holds no record is reopened, not rolled: a second roll
+        at the same N would overwrite the first segment.
+        """
+        seq = self.seq
+        with self._lock:
+            roll = os.fstat(self._wal.fileno()).st_size > 0
+            self._wal.close()
+            if roll:
+                os.replace(
+                    self._wal_path,
+                    os.path.join(self.path, SEGMENT_FILE.format(seq)),
+                )
+            self._wal = open(self._wal_path, "w", encoding="utf-8")
+        if roll:
+            _fsync_dir(self.path)
         self.snapshots += 1
         self.appends_since_snapshot = 0
+        return seq
 
-    def _write_snapshot(self, snapshot: dict[str, Any]) -> None:
-        snapshot_path = os.path.join(self.path, SNAPSHOT_FILE)
-        tmp_path = snapshot_path + ".tmp"
+    def _run(
+        self,
+        build: Callable[[], dict[str, Any]],
+        seq: int,
+        launched: threading.Event,
+    ) -> None:
+        """The checkpoint worker: finish the checkpoint at ``seq``.
+
+        It first waits for ``launched``, set once ``Thread.start`` has
+        returned on the writer's thread.  A worker that ran on at once
+        would keep the GIL through its hash and encode while the writer,
+        woken by ``start``, waited for it with its reply unsent.  It
+        gets the GIL back at the writer's next blocking call, the
+        reply's send at the earliest, and then yields its CPU once, so
+        that whoever the reply woke runs before its CPU-bound work.
+        """
+        launched.wait()
+        os.sched_yield()
+        started = time.perf_counter()
+        try:
+            self._finish(build(), seq)
+        except Exception as exc:
+            log.exception(
+                "checkpoint of %s at seq %d failed; its WAL segment stays",
+                self.path, seq,
+            )
+            self._outcome = exc
+        else:
+            self._outcome = time.perf_counter() - started
+
+    def _finish(self, snapshot: dict[str, Any], seq: int) -> None:
+        """Make ``snapshot`` (at ``seq``) durable, then advance
+        ``base_seq`` to it and delete the closed segments it covers."""
+        tmp_path = self._write_snapshot(snapshot)
+        self.faults.crash_point(CRASH_IN_SNAPSHOT)
+        self._install_snapshot(tmp_path)
+        with self._lock:
+            self.base_seq = seq
+            for last, segment in self._segments():
+                if last <= seq:
+                    os.remove(segment)
+
+    def _write_snapshot(self, snapshot: dict[str, Any]) -> str:
+        """Write ``snapshot`` to its temp file and fsync it; returns the
+        temp path.  One ``json.dumps`` call encodes it: ``json.dump``
+        would stream the same bytes through the pure-Python encoder."""
+        tmp_path = os.path.join(self.path, SNAPSHOT_FILE + ".tmp")
+        text = json.dumps(snapshot, separators=(",", ":"))
         with open(tmp_path, "w", encoding="utf-8") as fp:
-            json.dump(snapshot, fp, separators=(",", ":"))
+            fp.write(text)
             fp.flush()
             os.fsync(fp.fileno())
-        os.replace(tmp_path, snapshot_path)
+        return tmp_path
+
+    def _install_snapshot(self, tmp_path: str) -> None:
+        os.replace(tmp_path, os.path.join(self.path, SNAPSHOT_FILE))
         _fsync_dir(self.path)
 
     def stats(self) -> dict[str, int]:
+        """Log counters; a finished worker's result is read here too, so
+        a ``/metrics`` scrape sees every checkpoint that has ended."""
+        worker = self._worker
+        if worker is not None and not worker.is_alive():
+            self.join_checkpoint()
         return {
             "seq": self.seq,
             "term": self.term,
             "appends": self.appends,
             "snapshots": self.snapshots,
+            "snapshot_failures": self.snapshot_failures,
             "appends_since_snapshot": self.appends_since_snapshot,
             "applied_keys": len(self.applied),
         }
+
+
+def _scan(
+    path: str, after: int, closed: bool
+) -> tuple[list[dict[str, Any]], int]:
+    """The valid records with ``seq > after`` in one WAL file, in file
+    order, and the byte offset at which its last valid record ends.
+
+    The file is streamed line by line, never slurped whole.  A record
+    is a JSON object with a ``seq`` on a line of its own, newline
+    included: an append writes both in one write before its fsync, so a
+    line without its newline was never acknowledged.  In the active
+    ``wal.jsonl`` a torn final record — the crash arrived mid-append,
+    before the fsync that would have acknowledged it — is discarded,
+    matching the contract that an unacknowledged mutation may be lost;
+    any blank lines trailing it are padding, not records, so they do
+    not promote the tear to corruption.  A torn or unparsable line
+    followed by *more records* is real corruption and raises, and so
+    is any torn line in a ``closed`` segment: it was fsync'd whole
+    before its roll.
+    """
+    records: list[dict[str, Any]] = []
+    try:
+        fp = open(path, "rb")
+    except FileNotFoundError:
+        return records, 0
+    good_end = offset = 0
+    torn: Optional[tuple[int, str]] = None
+    followed = False
+    with fp:
+        for number, line in enumerate(fp, start=1):
+            offset += len(line)
+            if not line.strip():
+                continue
+            if torn is not None:
+                followed = True
+                break
+            try:
+                if not line.endswith(b"\n"):
+                    raise ValueError("record has no terminating newline")
+                record = json.loads(line)
+                if not isinstance(record, dict) or "seq" not in record:
+                    raise ValueError("record is not an object with 'seq'")
+            except ValueError as exc:
+                torn = (number, str(exc))
+                continue
+            good_end = offset
+            if record["seq"] > after:
+                records.append(record)
+    if torn is not None and (followed or closed):
+        raise WalCorruption(
+            f"corrupt WAL record at {path}:{torn[0]}: {torn[1]}"
+        )
+    return records, good_end
 
 
 class StateDir:

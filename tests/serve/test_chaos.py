@@ -12,6 +12,9 @@ recovery contract:
 * a mutation that died before its WAL record (``crash-before-wal-append``)
   is **lost** — never acknowledged, so losing it is correct — and the
   keyed retry applies it cleanly;
+* a checkpoint that died before its snapshot's rename
+  (``crash-in-snapshot``) loses nothing: the old snapshot plus the
+  rolled-off WAL segment recover every acknowledged mutation;
 * a response dropped mid-bytes (``drop-connection``) is healed by the
   client's retry/backoff loop without the caller noticing.
 
@@ -187,6 +190,48 @@ class TestCrashBeforeWalAppend:
             assert retried["version"] == 1
             _, mutated_hash = control_hash([CRASH_DEP])
             assert client.tenant_stats("app")["premise_hash"] == mutated_hash
+            stop_server(proc, port)
+        finally:
+            kill_leftover(proc)
+
+
+class TestCrashInSnapshot:
+    def test_rolled_segment_recovers_the_write_that_came_due(self, tmp_path):
+        state = tmp_path / "state"
+
+        proc, port, _ = start_server(
+            state, "--snapshot-every", "2",
+            "--faults", "crash-in-snapshot:once",
+        )
+        try:
+            client = ServeClient(port=port, retries=0)
+            client.create_tenant("app", BUNDLE)
+            client.add("app", [SETUP_DEP], key="setup")
+            # The second write rolls the WAL before its reply; the
+            # worker then dies before renaming the new snapshot, so the
+            # reply may or may not arrive.
+            try:
+                client.add("app", [CRASH_DEP], key="crashkey")
+            except (ConnectionError, http.client.HTTPException, OSError):
+                pass
+            assert proc.wait(timeout=15) == CRASH_EXIT_CODE
+        finally:
+            kill_leftover(proc)
+
+        proc, port, banner = start_server(state)
+        try:
+            assert "recovered 1 tenant(s)" in banner
+            assert "2 WAL record(s) replayed" in banner
+            client = ServeClient(port=port)
+            stats = client.tenant_stats("app")
+            control, expected_hash = control_hash([SETUP_DEP, CRASH_DEP])
+            assert stats["premise_hash"] == expected_hash
+            for probe in PROBES:
+                served = client.implies("app", probe)["verdict"]
+                assert served == control.implies(probe).verdict, probe
+            retried = client.add("app", [CRASH_DEP], key="crashkey")
+            assert retried.get("idempotent_replay") is True
+            assert client.tenant_stats("app")["premise_hash"] == expected_hash
             stop_server(proc, port)
         finally:
             kill_leftover(proc)

@@ -1,8 +1,13 @@
 """Tenant lifecycle and the structural-hash artifact LRU."""
 
 import asyncio
+import errno
+import io
 import json
 import os
+import random
+import sys
+import threading
 
 import pytest
 
@@ -10,9 +15,10 @@ from repro.deps.fd import FD
 from repro.deps.ind import IND
 from repro.engine import ReasoningSession
 from repro.model.schema import DatabaseSchema
+from repro.obs.tracing import Trace
 from repro.serve import ArtifactCache, ServeError, StateDir, TenantRegistry
 from repro.serve import wal
-from repro.serve.wal import SNAPSHOT_FILE, WAL_FILE, WalCorruption
+from repro.serve.wal import SNAPSHOT_FILE, WAL_FILE, TenantStore, WalCorruption
 
 
 @pytest.fixture
@@ -270,6 +276,169 @@ class TestDurableLifecycle:
             assert tenant.replayed_mutations == 1
         finally:
             rebooted.close()
+
+
+class TestBackgroundCheckpoint:
+    """A due checkpoint rolls the WAL before the reply; a worker writes
+    the snapshot from the tenant's state frozen at that seq."""
+
+    TOGGLE = "EMP: NAME -> DEPT"
+
+    def toggle(self, tenant, count, trace=None):
+        """``count`` keyed writes flipping one FD; returns their seqs."""
+        seqs = []
+        for _ in range(count):
+            seq = tenant.store.seq + 1
+            seqs.append(tenant.mutate(
+                "add" if seq % 2 else "retract", [self.TOGGLE],
+                key=f"write-{seq}", trace=trace,
+            )["seq"])
+        return seqs
+
+    def test_worker_payload_is_the_tenant_snapshot_at_its_seq(
+        self, tmp_path, schema, premises
+    ):
+        registry = TenantRegistry(
+            state_dir=StateDir(str(tmp_path), snapshot_every=2)
+        )
+        try:
+            tenant = registry.create("app", schema, premises)
+            self.toggle(tenant, 2)
+            expected = tenant.snapshot()
+            tenant.store.join_checkpoint()
+            path = os.path.join(tenant.store.path, SNAPSHOT_FILE)
+            with open(path, encoding="utf-8") as fp:
+                written = fp.read()
+            assert expected["seq"] == 2
+            assert json.loads(written) == expected
+            assert expected["premise_hash"] == tenant.session.premise_hash
+            # One json.dumps call writes what json.dump would stream.
+            dumped = io.StringIO()
+            json.dump(expected, dumped, separators=(",", ":"))
+            assert written == dumped.getvalue()
+        finally:
+            registry.close()
+
+    def test_checkpoint_span_and_snapshot_instruments(
+        self, tmp_path, schema, premises
+    ):
+        registry = TenantRegistry(
+            state_dir=StateDir(str(tmp_path), snapshot_every=2)
+        )
+        try:
+            tenant = registry.create("app", schema, premises)
+            trace = Trace()
+            self.toggle(tenant, 1, trace)
+            assert "checkpoint" not in [span[0] for span in trace.spans]
+            tenant.mutate("retract", [self.TOGGLE], trace=trace)
+            [(_, _, seconds, meta)] = [
+                span for span in trace.spans if span[0] == "checkpoint"
+            ]
+            assert seconds > 0 and meta == {"seq": 2}
+            tenant.store.join_checkpoint()
+            assert registry.snapshot_seconds.count == 1
+            assert registry.snapshot_failures.value == 0
+            exposition = registry.metrics.render_prometheus()
+            assert "repro_wal_snapshot_seconds_count 1" in exposition
+            assert "repro_wal_snapshot_failures_total 0" in exposition
+        finally:
+            registry.close()
+
+    def test_worker_failure_is_counted_and_the_next_checkpoint_heals(
+        self, tmp_path, schema, premises, monkeypatch
+    ):
+        registry = TenantRegistry(
+            state_dir=StateDir(str(tmp_path), snapshot_every=2)
+        )
+        try:
+            tenant = registry.create("app", schema, premises)
+
+            def disk_full(self, snapshot):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(TenantStore, "_write_snapshot", disk_full)
+                self.toggle(tenant, 2)
+                tenant.store.join_checkpoint()
+            # The scrape reads the finished worker's result.
+            registry.metrics.render_prometheus()
+            assert registry.snapshot_failures.value == 1
+            assert tenant.stats()["wal"]["snapshot_failures"] == 1
+            self.toggle(tenant, 2)
+            expected = tenant.session.premise_hash
+        finally:
+            registry.close()
+        assert sorted(os.listdir(tenant.store.path)) == [
+            SNAPSHOT_FILE, WAL_FILE
+        ]
+        rebooted = TenantRegistry(state_dir=StateDir(str(tmp_path)))
+        try:
+            assert rebooted.replayed_records == 0
+            assert rebooted.get("app").session.premise_hash == expected
+        finally:
+            rebooted.close()
+
+    def test_tail_reads_race_appends_and_checkpoints_without_a_gap(
+        self, tmp_path, schema, premises
+    ):
+        """Appends and checkpoints on one thread, ``read_from`` on two
+        others, with the interpreter switching threads as often as it
+        can: every tail read is ``None`` or a gap-free run from
+        ``after + 1`` through at least the seq acknowledged before it,
+        and a reopen returns every acknowledged record."""
+        registry = TenantRegistry(
+            state_dir=StateDir(str(tmp_path), snapshot_every=2)
+        )
+        tenant = registry.create("app", schema, premises)
+        store = tenant.store
+        acked, errors = [], []
+        done = threading.Event()
+
+        def write():
+            try:
+                acked.extend(self.toggle(tenant, 120))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read(seed):
+            rng = random.Random(seed)
+            try:
+                while not done.is_set():
+                    acked_seq = store.seq
+                    after = max(0, acked_seq - rng.randrange(6))
+                    records = store.read_from(after)
+                    if records is not None:
+                        got = [record["seq"] for record in records]
+                        assert got == list(
+                            range(after + 1, after + 1 + len(got))
+                        ), (after, got)
+                        assert len(got) >= acked_seq - after, (after, got)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write)] + [
+            threading.Thread(target=read, args=(seed,)) for seed in (1, 2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            done.set()
+            registry.close()
+        assert errors == []
+        assert acked == list(range(1, 121))
+        reopened, snapshot, tail = TenantStore.open(store.path)
+        reopened.close()
+        recovered = list(range(1, snapshot["seq"] + 1))
+        assert recovered + [record["seq"] for record in tail] == acked
 
 
 class TestIdempotencyKeyMap:

@@ -1,7 +1,10 @@
 """Unit coverage for the WAL/snapshot store and the fault injector."""
 
+import errno
 import json
+import logging
 import os
+import threading
 
 import pytest
 
@@ -47,6 +50,19 @@ def make_store(tmp_path, term=0):
     return TenantStore.create(
         str(tmp_path / "t"), snapshot_of("hash0", term=term)
     )
+
+
+def held(release, snapshot):
+    """A checkpoint payload builder that blocks until ``release`` is set,
+    holding the store's worker between the roll and the snapshot."""
+    def build():
+        assert release.wait(timeout=10), "the held checkpoint was never released"
+        return snapshot
+    return build
+
+
+def seqs(records):
+    return [record["seq"] for record in records]
 
 
 class TestFaultInjector:
@@ -209,6 +225,47 @@ class TestTenantStore:
         assert reopened.append({"add": ["R: A -> B"]})["seq"] == 2
         reopened.close()
 
+    def test_first_append_after_a_torn_tail_survives_reopen(self, tmp_path):
+        """Recovery cuts a torn final record off the WAL before appending:
+        appended after the torn bytes, the next acknowledged record would
+        share their line and be lost on the following reopen (or, with a
+        record after it, turn the tear into corruption)."""
+        store = make_store(tmp_path)
+        store.append({"add": ["R: A -> B"]})
+        store.append({"retract": ["R: A -> B"]})
+        store.close()
+        with open(tmp_path / "t" / WAL_FILE, "a", encoding="utf-8") as fp:
+            fp.write('{"seq":3,"term":0,"pa')  # crash mid-append
+
+        reopened, _, tail = TenantStore.open(str(tmp_path / "t"))
+        assert seqs(tail) == [1, 2]
+        assert reopened.append({"add": ["R: A -> B"]})["seq"] == 3
+        assert reopened.append({"retract": ["R: A -> B"]})["seq"] == 4
+        reopened.close()
+
+        reopened, _, tail = TenantStore.open(str(tmp_path / "t"))
+        assert seqs(tail) == [1, 2, 3, 4]
+        assert reopened.seq == 4
+        reopened.close()
+
+    def test_unterminated_final_record_is_torn(self, tmp_path):
+        """An append writes its record and newline in one write before
+        the fsync, so a final line without its newline was never
+        acknowledged: it is discarded like any torn record."""
+        store = make_store(tmp_path)
+        store.append({"add": ["R: A -> B"]})
+        store.close()
+        with open(tmp_path / "t" / WAL_FILE, "a", encoding="utf-8") as fp:
+            fp.write('{"seq":2,"term":0,"patch":{}}')
+
+        reopened, _, tail = TenantStore.open(str(tmp_path / "t"))
+        assert seqs(tail) == [1]
+        assert reopened.append({"add": ["R: A -> B"]})["seq"] == 2
+        reopened.close()
+        reopened, _, tail = TenantStore.open(str(tmp_path / "t"))
+        assert seqs(tail) == [1, 2]
+        reopened.close()
+
     def test_multi_thousand_record_tail_recovers(self, tmp_path):
         """Recovery streams the WAL line-by-line, so a long unsnapshotted
         tail (thousands of records) comes back intact and in order."""
@@ -310,6 +367,151 @@ class TestTenantStore:
         assert sorted(os.listdir(tmp_path / "t")) == [
             SNAPSHOT_FILE, WAL_FILE
         ]
+
+
+class TestCheckpointWorker:
+    """The roll on the writer's thread and the snapshot on a worker."""
+
+    def test_appends_during_a_held_checkpoint_all_recover(self, tmp_path):
+        path = tmp_path / "t"
+        store = make_store(tmp_path)
+        for _ in range(3):
+            store.append({"add": ["R: A -> B"]})
+        release = threading.Event()
+        store.checkpoint(held(release, snapshot_of("hash1", store)))
+        try:
+            assert store.snapshots == 1
+            assert store.appends_since_snapshot == 0
+            acked = [store.append({"retract": ["R: A -> B"]})["seq"]
+                     for _ in range(4)]
+            assert acked == [4, 5, 6, 7]
+            # What a crash would leave on disk right now: the old
+            # snapshot, the rolled-off segment and the active log.
+            assert sorted(os.listdir(path)) == [
+                SNAPSHOT_FILE, "wal-3.jsonl", WAL_FILE
+            ]
+            reopened, snapshot, tail = TenantStore.open(str(path))
+            reopened.close()
+            assert snapshot["seq"] == 0
+            assert seqs(tail) == [1, 2, 3, 4, 5, 6, 7]
+        finally:
+            release.set()
+            store.close()
+        assert sorted(os.listdir(path)) == [SNAPSHOT_FILE, WAL_FILE]
+        reopened, snapshot, tail = TenantStore.open(str(path))
+        assert (snapshot["seq"], seqs(tail)) == (3, [4, 5, 6, 7])
+        assert reopened.seq == 7
+        reopened.close()
+
+    def test_read_from_spans_the_closed_segment_and_the_active_log(
+        self, tmp_path
+    ):
+        store = make_store(tmp_path)
+        store.append({"add": ["R: A -> B"]})
+        store.append({"retract": ["R: A -> B"]})
+        release = threading.Event()
+        store.checkpoint(held(release, snapshot_of("hash1", store)))
+        try:
+            store.append({"add": ["R: A -> B"]})
+            assert seqs(store.read_from(0)) == [1, 2, 3]
+            assert seqs(store.read_from(1)) == [2, 3]
+            assert seqs(store.read_from(2)) == [3]
+        finally:
+            release.set()
+            store.join_checkpoint()
+        # The snapshot is durable: the segment's records are gone.
+        assert store.read_from(1) is None
+        assert seqs(store.read_from(2)) == [3]
+        store.close()
+
+    def test_segment_left_between_rename_and_delete_replays_nothing_twice(
+        self, tmp_path
+    ):
+        path = tmp_path / "t"
+        store = make_store(tmp_path)
+        for _ in range(3):
+            store.append({"add": ["R: A -> B"]})
+        rolled = (path / WAL_FILE).read_bytes()
+        store.write_snapshot(snapshot_of("hash1", store))
+        # A crash after the snapshot's rename left the segment behind.
+        (path / "wal-3.jsonl").write_bytes(rolled)
+        store.append({"retract": ["R: A -> B"]})
+        store.close()
+
+        reopened, snapshot, tail = TenantStore.open(str(path))
+        assert (snapshot["seq"], seqs(tail)) == (3, [4])
+        assert seqs(reopened.read_from(3)) == [4]
+        # The next checkpoint deletes every segment it covers.
+        reopened.write_snapshot(snapshot_of("hash2", reopened))
+        assert sorted(os.listdir(path)) == [SNAPSHOT_FILE, WAL_FILE]
+        reopened.close()
+
+    def test_failed_worker_keeps_its_segment_for_the_next_checkpoint(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        path = tmp_path / "t"
+        store = make_store(tmp_path)
+        observed, failures = [], []
+        store.on_snapshot = observed.append
+        store.on_snapshot_failure = lambda: failures.append(1)
+        store.append({"add": ["R: A -> B"]})
+
+        def disk_full(self, snapshot):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        frozen = snapshot_of("hash1", store)
+        with monkeypatch.context() as patch:
+            patch.setattr(TenantStore, "_write_snapshot", disk_full)
+            with caplog.at_level(logging.ERROR, logger="repro.serve.wal"):
+                store.checkpoint(lambda: frozen)
+                store.join_checkpoint()
+        assert "checkpoint of" in caplog.text
+        assert "No space left on device" in caplog.text
+        assert (store.snapshot_failures, failures, observed) == (1, [1], [])
+        assert store.stats()["snapshot_failures"] == 1
+        assert sorted(os.listdir(path)) == [
+            SNAPSHOT_FILE, "wal-1.jsonl", WAL_FILE
+        ]
+        assert seqs(store.read_from(0)) == [1]  # still kept
+
+        store.append({"retract": ["R: A -> B"]})
+        frozen = snapshot_of("hash2", store)
+        store.checkpoint(lambda: frozen)
+        store.join_checkpoint()
+        assert len(observed) == 1 and observed[0] > 0
+        assert sorted(os.listdir(path)) == [SNAPSHOT_FILE, WAL_FILE]
+        store.close()
+        reopened, snapshot, tail = TenantStore.open(str(path))
+        reopened.close()
+        assert (snapshot["seq"], snapshot["premise_hash"], tail) == (
+            2, "hash2", []
+        )
+
+    def test_parent_layout_recovers_unchanged(self, tmp_path):
+        """A state dir from before closed segments existed — a snapshot
+        and ``wal.jsonl`` only, here with records the snapshot already
+        covers (a crash before that layout's WAL truncation)."""
+        path = tmp_path / "t"
+        path.mkdir()
+        snapshot = dict(snapshot_of("hash0"), seq=1)
+        with open(path / SNAPSHOT_FILE, "w", encoding="utf-8") as fp:
+            json.dump(snapshot, fp, separators=(",", ":"))
+        records = [{"seq": seq, "term": 0, "patch": {"add": ["R: A -> B"]}}
+                   for seq in (1, 2, 3)]
+        (path / WAL_FILE).write_text("".join(
+            json.dumps(record, separators=(",", ":")) + "\n"
+            for record in records
+        ))
+        before = {name: (path / name).read_bytes()
+                  for name in os.listdir(path)}
+
+        store, loaded, tail = TenantStore.open(str(path))
+        assert loaded == snapshot
+        assert tail == records[1:]
+        assert store.seq == 3
+        store.close()
+        assert {name: (path / name).read_bytes()
+                for name in os.listdir(path)} == before
 
 
 class TestStateDir:
