@@ -339,9 +339,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         faults = FaultInjector(
             args.faults or "", latency_ms=args.fault_latency_ms
         )
-        env_faults = FaultInjector.from_env()
-        if env_faults and not faults:
-            faults = env_faults
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -699,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="arm fault-injection points (comma list, ':once' suffix "
-             "supported); overrides REPRO_FAULTS (testing only)",
+             "supported; testing only)",
     )
     p_serve.add_argument(
         "--fault-latency-ms", type=float, default=0.0, metavar="MS",

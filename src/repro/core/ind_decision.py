@@ -38,9 +38,7 @@ PremiseIndexMap = Mapping[str, tuple[IND, ...]]
 
 Premises = Union[Iterable[IND], PremiseIndexMap, KernelIndex]
 """A flat premise collection, a pre-built relation index, or the
-kernel-compiled index a :class:`~repro.engine.index.PremiseIndex` owns.
-:func:`decide_ind` additionally accepts a compiled
-:class:`~repro.core.reach_index.ReachIndex` and answers from it."""
+kernel-compiled index a :class:`~repro.engine.index.PremiseIndex` owns."""
 
 
 def index_by_lhs(premises: Iterable[IND]) -> dict[str, tuple[IND, ...]]:
@@ -89,9 +87,6 @@ def _as_kernels(premises: Premises) -> KernelIndex:
     """
     if isinstance(premises, KernelIndex):
         return premises
-    kernels = getattr(premises, "kernels", None)
-    if isinstance(kernels, KernelIndex):  # a compiled ReachIndex
-        return kernels
     if isinstance(premises, Mapping):
         return KernelIndex.from_lhs_buckets(premises)
     return KernelIndex(premises)
@@ -100,9 +95,6 @@ def _as_kernels(premises: Premises) -> KernelIndex:
 def _kernel_bucket_for(premises: Premises, relation: str) -> tuple[INDKernel, ...]:
     if isinstance(premises, KernelIndex):
         return premises.bucket(relation)
-    kernels = getattr(premises, "kernels", None)
-    if isinstance(kernels, KernelIndex):  # a compiled ReachIndex
-        return kernels.bucket(relation)
     if isinstance(premises, Mapping):
         # A mapping's buckets are not necessarily lhs-keyed (callers
         # also hold index_by_rhs maps); only lhs-matching premises can
@@ -228,21 +220,9 @@ def decide_ind(
     decides finite and unrestricted implication simultaneously, which
     coincide for INDs).  Returns a witness chain when implied.
 
-    When ``premises`` is a session-managed, already-compiled
-    :class:`~repro.core.reach_index.ReachIndex`, the question is
-    answered from its SCC-condensed bitset closure — amortized O(1)
-    per decision — instead of a fresh BFS; one-shot premise
-    collections keep the early-exit kernel BFS below, which can stop
-    after a handful of nodes in graphs whose full closure would blow
-    the budget.
-
     ``tick`` is an optional zero-argument cooperative check (deadline
     polling), invoked every 256 BFS expansions.
     """
-    from repro.core.reach_index import ReachIndex  # deferred: cyclic module pair
-
-    if isinstance(premises, ReachIndex):
-        return premises.decide(target, max_nodes=max_nodes, tick=tick)
     kernels = _as_kernels(premises)
     start = intern_expression(expression_of_lhs(target))
     goal = intern_expression(expression_of_rhs(target))

@@ -69,7 +69,7 @@ class Trace:
     replication envelope, or the debug ring's JSON rendering.
     """
 
-    __slots__ = ("_trace_id", "started", "t0", "duration", "spans", "meta")
+    __slots__ = ("_trace_id", "started", "t0", "duration", "spans")
 
     def __init__(self, trace_id: Optional[str] = None):
         self._trace_id = trace_id or None
@@ -77,7 +77,6 @@ class Trace:
         self.t0 = time.perf_counter()
         self.duration: Optional[float] = None
         self.spans: list[tuple[str, float, float, dict]] = []
-        self.meta: dict = {}
 
     @property
     def trace_id(self) -> str:
@@ -120,7 +119,6 @@ class Trace:
             "trace_id": self.trace_id,
             "started": self.started,
             "duration_ms": duration * 1e3,
-            **({"meta": self.meta} if self.meta else {}),
             "spans": [
                 {
                     "span": name,

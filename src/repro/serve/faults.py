@@ -38,11 +38,11 @@ after the WAL append but before the response, say.  A
   follower *knows* how far behind it is.  Drives deterministic
   ``max_lag`` bounded-staleness tests.
 
-Faults are armed from the environment (``REPRO_FAULTS`` — comma list
-of point names, each optionally suffixed ``:once`` — plus
-``REPRO_FAULT_LATENCY_MS``) or the ``repro serve --faults`` flag, so a
-chaos test arms a subprocess without code changes.  A production
-deployment simply never sets them; an unarmed injector's checks are
+Faults are armed by building a :class:`FaultInjector`, or from the
+command line with ``repro serve --faults`` (a comma list of point
+names, each optionally suffixed ``:once``) and ``--fault-latency-ms``,
+so a chaos test arms a subprocess without code changes.  A production
+deployment simply never passes them; an unarmed injector's checks are
 dictionary misses.
 """
 
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Optional
 
 CRASH_BEFORE_WAL_APPEND = "crash-before-wal-append"
 CRASH_AFTER_WAL_APPEND = "crash-after-wal-append"
@@ -70,9 +69,6 @@ FAULT_POINTS = (
     REPLICATION_LAG,
 )
 
-FAULTS_ENV = "REPRO_FAULTS"
-LATENCY_ENV = "REPRO_FAULT_LATENCY_MS"
-
 _ALWAYS = -1
 CRASH_EXIT_CODE = 137  # what 128+SIGKILL reads as: died without cleanup
 
@@ -82,8 +78,8 @@ class FaultInjector:
 
     ``spec`` is a comma-separated list of fault-point names; a name
     suffixed ``:once`` disarms itself after its first firing (so a
-    restarted process — same environment — does not crash again at the
-    same point, which is exactly what the recovery chaos tests need).
+    restarted process does not crash again at the same point, which is
+    exactly what the recovery chaos tests need).
     """
 
     def __init__(self, spec: str = "", latency_ms: float = 0.0):
@@ -118,12 +114,6 @@ class FaultInjector:
                     f"unknown fault modifier {modifier!r} on {name!r}; "
                     f"only ':once' and ':hold' are supported"
                 )
-
-    @classmethod
-    def from_env(cls, environ=os.environ) -> "FaultInjector":
-        spec = environ.get(FAULTS_ENV, "")
-        latency = float(environ.get(LATENCY_ENV, "0") or "0")
-        return cls(spec, latency_ms=latency)
 
     def __bool__(self) -> bool:
         return bool(self._armed)

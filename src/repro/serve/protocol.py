@@ -195,23 +195,17 @@ def json_response(
     status: int, payload: dict[str, Any], close: bool = False
 ) -> bytes:
     """One complete HTTP/1.1 response with a JSON body."""
-    body = json.dumps(payload).encode("utf-8")
-    reason = _REASONS.get(status, "Unknown")
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
+    return text_response(
+        status, json.dumps(payload), close, content_type="application/json"
     )
-    if close:
-        head += "Connection: close\r\n"
-    return head.encode("latin-1") + b"\r\n" + body
 
 
 def text_response(
     status: int, body_text: str, close: bool = False,
     content_type: str = "text/plain; version=0.0.4; charset=utf-8",
 ) -> bytes:
-    """One complete HTTP/1.1 response with a plain-text body.
+    """One complete HTTP/1.1 response with a text body: the one place a
+    response head is written.
 
     The default content type is the Prometheus text exposition type —
     ``GET /metrics`` is the only non-JSON endpoint the server has.

@@ -474,11 +474,16 @@ class FollowerReplicator:
             except (OSError, asyncio.TimeoutError) as exc:
                 self.last_error = f"wal pull: {type(exc).__name__}: {exc}"
                 return
-            if status != 200 or payload.get("resync"):
+            if status == 409 and payload.get("resync"):
                 # The tail we need was truncated away by a snapshot (or
                 # the primary is non-durable and keeps no tail): start
                 # over from a fresh snapshot.
                 await self._bootstrap(name)
+                continue
+            if status != 200:
+                # A refused pull (a partition, say) is retried by the
+                # next heartbeat; only a resync calls for the snapshot.
+                self.last_error = payload.get("error") or f"wal pull {status}"
                 continue
             self.pulled_records += tenant.apply_replicated(
                 payload.get("records") or []

@@ -7,10 +7,12 @@ dispatch (see :mod:`repro.serve.coalescer`), fork-based ``whatif``
 served off the event loop, and graceful drain on SIGTERM/SIGINT or
 ``POST /shutdown``.
 
-Routes (all payloads JSON objects)::
+Routes (all payloads JSON objects, except the text ``/metrics``)::
 
     GET    /health                       liveness + tenant count
     GET    /stats                        server/registry/tenant counters
+    GET    /metrics                      Prometheus text (?format=json)
+    GET    /debug/traces                 slowest recent traces (?limit=K)
     POST   /shutdown                     begin graceful drain, then exit
     GET    /tenants                      tenant names
     POST   /tenants                      {"name", "bundle": {...}} -> create
@@ -27,6 +29,9 @@ Routes (all payloads JSON objects)::
     GET    /replication/snapshot/N       bootstrap bundle @ seq for tenant N
     POST   /replication/wal/N            {"after": S} -> WAL records past S
     POST   /replication/apply            pushed records (term-fenced)
+
+A listed path asked with another method answers 405; any other path
+answers 404.
 
 Replication (see :mod:`repro.serve.replication`): a server started
 with ``replica_of`` boots as a read-only *follower* — it bootstraps
@@ -85,15 +90,6 @@ from repro.serve.replication import (
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 DEFAULT_GRACE = 10.0
-
-
-class _ConnState:
-    """Whether a connection is mid-request (drain must wait) or idle."""
-
-    __slots__ = ("busy",)
-
-    def __init__(self):
-        self.busy = False
 
 
 def _semantics_of(body: dict[str, Any]) -> Semantics:
@@ -198,18 +194,23 @@ class ReasoningServer:
             "repro_dropped_connections_total",
             "Connections dropped by fault injection",
         )
+        # Keyed by tenant op: its keys are the ops the router accepts.
         self._op_latency = {
             op: metrics.histogram(
                 "repro_request_seconds",
                 "Tenant operation latency by op",
-                op=op,
+                op="mutate" if op in ("add", "retract") else op,
             )
-            for op in ("implies", "implies_all", "mutate", "whatif", "check")
+            for op in (
+                "implies", "implies_all", "add", "retract", "whatif", "check"
+            )
         }
         metrics.register_collector(self._collect_metrics)
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown: Optional[asyncio.Event] = None
-        self._conn_states: dict[asyncio.Task, _ConnState] = {}
+        # Each open connection's task, and whether it is mid-request
+        # (the drain waits for it) or idle (the drain cancels it).
+        self._conn_states: dict[asyncio.Task, bool] = {}
 
     # -- metrics -----------------------------------------------------------
 
@@ -362,8 +363,8 @@ class ReasoningServer:
         # Idle connections (blocked waiting for a next request line)
         # are cancelled; busy ones get up to `grace` seconds to finish
         # writing their response.
-        for task, state in list(self._conn_states.items()):
-            if not state.busy:
+        for task, busy in list(self._conn_states.items()):
+            if not busy:
                 task.cancel()
         pending = [task for task in self._conn_states if not task.done()]
         if pending:
@@ -381,15 +382,14 @@ class ReasoningServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        state = _ConnState()
         assert task is not None
-        self._conn_states[task] = state
+        busy = self._conn_states
         try:
             while True:
-                state.busy = False
+                busy[task] = False
                 try:
                     request = await read_request(
-                        reader, on_started=lambda: setattr(state, "busy", True)
+                        reader, on_started=lambda: busy.__setitem__(task, True)
                     )
                 except ServeError as exc:
                     writer.write(json_response(
@@ -414,52 +414,44 @@ class ReasoningServer:
                     # Count before writing: once the client has read the
                     # response, the counters must already reflect it.
                     self.requests_served.inc()
-                    writer.write(
-                        text_response(
-                            200, self.metrics.render_prometheus(),
-                            close=closing,
-                        )
+                    response = text_response(
+                        200, self.metrics.render_prometheus(), close=closing
                     )
-                    await writer.drain()
-                    if closing:
-                        break
-                    continue
-                trace = Trace(request.trace_id)
-                trace.add_span(
-                    "parse", request.parse_seconds, offset=0.0,
-                    method=request.method, path=request.path,
-                )
-                status, payload = await self._safe_dispatch(request, trace)
-                if (
-                    request.query.get("trace")
-                    and isinstance(payload, dict)
-                ):
-                    payload["trace"] = trace.finish().to_json()
-                if self.faults.trip(DROP_CONNECTION):
-                    # What a dying peer looks like from the client side:
-                    # headers promise a body, a few bytes arrive, then
-                    # the socket slams shut mid-response.
-                    self.dropped_connections.inc()
-                    writer.write(
-                        b"HTTP/1.1 200 OK\r\n"
-                        b"Content-Type: application/json\r\n"
-                        b"Content-Length: 4096\r\n\r\n{\"tr"
+                else:
+                    trace = Trace(request.trace_id)
+                    trace.add_span(
+                        "parse", request.parse_seconds, offset=0.0,
+                        method=request.method, path=request.path,
                     )
-                    await writer.drain()
-                    break
-                # Count and record before writing: a client that has
-                # read this response must observe it in the counters
-                # and the trace ring (tests assert exactly that).
-                self.requests_served.inc()
-                self.traces.record(trace)
-                writer.write(json_response(status, payload, close=closing))
+                    status, payload = await self._safe_dispatch(
+                        request, trace
+                    )
+                    if (
+                        request.query.get("trace")
+                        and isinstance(payload, dict)
+                    ):
+                        payload["trace"] = trace.finish().to_json()
+                    response = json_response(status, payload, close=closing)
+                    if self.faults.trip(DROP_CONNECTION):
+                        # What a dying peer looks like from the client
+                        # side: the head promises a body, all but its
+                        # last byte arrives, then the socket slams shut.
+                        self.dropped_connections.inc()
+                        response, closing = response[:-1], True
+                    else:
+                        # Count and record before writing: a client that
+                        # has read this response must observe it in the
+                        # counters and the trace ring (tests assert it).
+                        self.requests_served.inc()
+                        self.traces.record(trace)
+                writer.write(response)
                 await writer.drain()
                 if closing:
                     break
         except (asyncio.CancelledError, ConnectionResetError):
             pass  # drain cancelled an idle connection, or the peer vanished
         finally:
-            self._conn_states.pop(task, None)
+            busy.pop(task, None)
             writer.close()
 
     async def _safe_dispatch(
@@ -493,63 +485,147 @@ class ReasoningServer:
     async def _dispatch(
         self, request: Request, trace: Trace
     ) -> dict[str, Any]:
+        """The one router: ``[method, *path parts]`` matched once."""
         method = request.method
-        parts = [part for part in request.path.split("/") if part]
-
-        if parts == ["metrics"]:
-            # The text form short-circuits in ``_handle_connection``;
-            # only ``?format=json`` reaches this route.
-            self._require(method, "GET", request)
-            return self.metrics.render_json()
-        if parts == ["debug", "traces"]:
-            self._require(method, "GET", request)
-            raw = request.query.get("limit", "10")
-            try:
-                limit = int(raw)
-            except ValueError:
-                raise ServeError(
-                    400, f"'limit' must be an integer, got {raw!r}"
+        match [method, *filter(None, request.path.split("/"))]:
+            case ["POST", "tenants", name, op] if op in self._op_latency:
+                tenant = self.registry.get(name)
+                body = request.json()
+                started = time.perf_counter()
+                try:
+                    return await self._tenant_op(tenant, op, body, trace)
+                finally:
+                    self._op_latency[op].observe(
+                        time.perf_counter() - started
+                    )
+            case ["GET", "health"]:
+                return {
+                    "ok": True,
+                    "tenants": len(self.registry.tenants),
+                    "draining": bool(
+                        self._shutdown and self._shutdown.is_set()
+                    ),
+                    "role": self.role,
+                    "term": self.registry.term,
+                    "primary": (
+                        self.advertised_endpoint()
+                        if self.role == "primary"
+                        else self.primary_endpoint
+                    ),
+                }
+            case ["GET", "stats"]:
+                return self.stats()
+            case ["GET", "metrics"]:
+                # The text form short-circuits in ``_handle_connection``;
+                # only ``?format=json`` reaches this route.
+                return self.metrics.render_json()
+            case ["GET", "debug", "traces"]:
+                raw = request.query.get("limit", "10")
+                try:
+                    limit = int(raw)
+                except ValueError:
+                    raise ServeError(
+                        400, f"'limit' must be an integer, got {raw!r}"
+                    )
+                if limit < 1:
+                    raise ServeError(
+                        400, f"'limit' must be >= 1, got {limit}"
+                    )
+                return self.traces.to_json(limit)
+            case ["POST", "shutdown"]:
+                self.begin_shutdown()
+                return {"ok": True, "draining": True}
+            case ["GET", "tenants"]:
+                return {"tenants": sorted(self.registry.tenants)}
+            case ["POST", "tenants"]:
+                self._require_primary("tenant creation")
+                body = request.json()
+                name = body.get("name")
+                if not isinstance(name, str) or not name:
+                    raise ServeError(400, "'name' must be a non-empty string")
+                tenant = self.registry.create_from_bundle(
+                    name, body.get("bundle", {}), options=body.get("options")
                 )
-            if limit < 1:
-                raise ServeError(400, f"'limit' must be >= 1, got {limit}")
-            return self.traces.to_json(limit)
-        if parts == ["health"]:
-            self._require(method, "GET", request)
-            return {
-                "ok": True,
-                "tenants": len(self.registry.tenants),
-                "draining": bool(self._shutdown and self._shutdown.is_set()),
-                "role": self.role,
-                "term": self.registry.term,
-                "primary": (
-                    self.advertised_endpoint()
-                    if self.role == "primary"
-                    else self.primary_endpoint
-                ),
-            }
-        if parts == ["stats"]:
-            self._require(method, "GET", request)
-            return self.stats()
-        if parts == ["shutdown"]:
-            self._require(method, "POST", request)
-            self.begin_shutdown()
-            return {"ok": True, "draining": True}
-        if parts and parts[0] == "tenants":
-            return await self._dispatch_tenants(
-                method, parts[1:], request, trace
-            )
-        if parts and parts[0] == "replication":
-            return await self._dispatch_replication(
-                method, parts[1:], request
-            )
+                session = tenant.session
+                return {
+                    "name": tenant.name,
+                    "premise_hash": session.premise_hash,
+                    "version": session.version,
+                    "premises": len(session.dependencies),
+                    "shared_artifacts": tenant.shared_artifacts,
+                }
+            case ["GET", "tenants", name, "stats"]:
+                return self.registry.get(name).stats()
+            case ["DELETE", "tenants", name]:
+                self._require_primary("tenant drop")
+                self.registry.drop(name)
+                return {"ok": True, "dropped": name}
+            case [_, "replication", *_] if self.faults.trip(
+                PARTITION_REPLICATION
+            ):
+                raise ServeError(
+                    503, "replication partitioned (fault injected)"
+                )
+            case [_, "replication", "snapshot" | "wal", *_] if (
+                self.faults.trip(REPLICATION_LAG)
+            ):
+                raise ServeError(
+                    503, "replication data plane partitioned (fault injected)"
+                )
+            case ["GET", "replication", "heartbeat"]:
+                return self.replication.heartbeat_payload()
+            case ["POST", "replication", "register"]:
+                endpoint = request.json().get("endpoint")
+                if not isinstance(endpoint, str) or not endpoint:
+                    raise ServeError(
+                        400, "'endpoint' must be a 'host:port' string"
+                    )
+                try:
+                    parse_endpoint(endpoint)
+                except ValueError as exc:
+                    raise ServeError(400, str(exc))
+                self.replication.register(endpoint)
+                return {
+                    "ok": True,
+                    "term": self.registry.term,
+                    "role": self.role,
+                    "tenants": sorted(self.registry.tenants),
+                }
+            case ["GET", "replication", "snapshot", name]:
+                return self.registry.replication_snapshot_of(name)
+            case ["POST", "replication", "wal", name]:
+                tenant = self.registry.get(name)
+                after = request.json().get("after", 0)
+                if isinstance(after, bool) or not isinstance(after, int) \
+                        or after < 0:
+                    raise ServeError(
+                        400, f"'after' must be a non-negative integer, got "
+                             f"{after!r}"
+                    )
+                records = tenant.store.read_from(after)
+                if records is None:
+                    raise ServeError(
+                        409,
+                        f"tenant {name!r} no longer keeps the records after "
+                        f"seq {after}; resync from its snapshot",
+                        extra={"resync": True},
+                    )
+                return {"records": records, "seq": tenant.replicated_seq}
+            case ["POST", "replication", "apply"]:
+                return apply_envelope(self, request.json())
+            case (
+                [_, "health" | "stats" | "metrics" | "shutdown" | "tenants"]
+                | [_, "debug", "traces"]
+                | [_, "tenants", _]
+                | [_, "tenants", _, "stats" | "implies" | "implies_all"
+                   | "add" | "retract" | "whatif" | "check"]
+                | [_, "replication", "heartbeat" | "register" | "apply"]
+                | [_, "replication", "snapshot" | "wal", _]
+            ):
+                raise ServeError(
+                    405, f"{request.path} does not take {method}"
+                )
         raise ServeError(404, f"no route for {method} {request.path}")
-
-    @staticmethod
-    def _require(method: str, expected: str, request: Request) -> None:
-        if method != expected:
-            raise ServeError(
-                405, f"{request.path} expects {expected}, got {method}"
-            )
 
     def _require_primary(self, what: str) -> None:
         """421 Misdirected Request: mutations belong to the primary."""
@@ -561,112 +637,6 @@ class ReasoningServer:
                 f"{self.role}",
                 extra={"primary": self.primary_endpoint, "role": self.role},
             )
-
-    async def _dispatch_replication(
-        self, method: str, parts: list[str], request: Request
-    ) -> dict[str, Any]:
-        if self.faults.trip(PARTITION_REPLICATION):
-            raise ServeError(
-                503, "replication partitioned (fault injected)"
-            )
-        op = parts[0] if parts else None
-        if op in ("snapshot", "wal") and self.faults.trip(REPLICATION_LAG):
-            raise ServeError(
-                503, "replication data plane partitioned (fault injected)"
-            )
-        if op == "heartbeat" and len(parts) == 1:
-            self._require(method, "GET", request)
-            return self.replication.heartbeat_payload()
-        if op == "register" and len(parts) == 1:
-            self._require(method, "POST", request)
-            endpoint = request.json().get("endpoint")
-            if not isinstance(endpoint, str) or not endpoint:
-                raise ServeError(
-                    400, "'endpoint' must be a 'host:port' string"
-                )
-            try:
-                parse_endpoint(endpoint)
-            except ValueError as exc:
-                raise ServeError(400, str(exc))
-            self.replication.register(endpoint)
-            return {
-                "ok": True,
-                "term": self.registry.term,
-                "role": self.role,
-                "tenants": sorted(self.registry.tenants),
-            }
-        if op == "snapshot" and len(parts) == 2:
-            self._require(method, "GET", request)
-            return self.registry.replication_snapshot_of(parts[1])
-        if op == "wal" and len(parts) == 2:
-            self._require(method, "POST", request)
-            tenant = self.registry.get(parts[1])
-            after = request.json().get("after", 0)
-            if isinstance(after, bool) or not isinstance(after, int) \
-                    or after < 0:
-                raise ServeError(
-                    400, f"'after' must be a non-negative integer, got "
-                         f"{after!r}"
-                )
-            records = tenant.store.read_from(after)
-            if records is None:
-                raise ServeError(
-                    409,
-                    f"tenant {parts[1]!r} no longer keeps the records after "
-                    f"seq {after}; resync from its snapshot",
-                    extra={"resync": True},
-                )
-            return {"records": records, "seq": tenant.replicated_seq}
-        if op == "apply" and len(parts) == 1:
-            self._require(method, "POST", request)
-            return apply_envelope(self, request.json())
-        raise ServeError(404, f"no route for {method} {request.path}")
-
-    async def _dispatch_tenants(
-        self,
-        method: str,
-        parts: list[str],
-        request: Request,
-        trace: Trace,
-    ) -> dict[str, Any]:
-        if not parts:
-            if method == "GET":
-                return {"tenants": sorted(self.registry.tenants)}
-            self._require(method, "POST", request)
-            self._require_primary("tenant creation")
-            body = request.json()
-            name = body.get("name")
-            if not isinstance(name, str) or not name:
-                raise ServeError(400, "'name' must be a non-empty string")
-            tenant = self.registry.create_from_bundle(
-                name, body.get("bundle", {}), options=body.get("options")
-            )
-            session = tenant.session
-            return {
-                "name": tenant.name,
-                "premise_hash": session.premise_hash,
-                "version": session.version,
-                "premises": len(session.dependencies),
-                "shared_artifacts": tenant.shared_artifacts,
-            }
-
-        name, op = parts[0], parts[1] if len(parts) > 1 else None
-        if op is None:
-            if method == "DELETE":
-                self._require_primary("tenant drop")
-                self.registry.drop(name)
-                return {"ok": True, "dropped": name}
-            self._require(method, "GET", request)
-            return self.registry.get(name).stats()
-        if len(parts) > 2:
-            raise ServeError(404, f"no route for {method} {request.path}")
-        tenant = self.registry.get(name)
-        if op == "stats":
-            self._require(method, "GET", request)
-            return tenant.stats()
-        self._require(method, "POST", request)
-        body = request.json()
-        return await self._tenant_op(tenant, op, body, trace)
 
     def _check_lag(self, tenant: Tenant, body: dict[str, Any]) -> None:
         """Bounded-staleness gate for follower reads.
@@ -705,24 +675,8 @@ class ReasoningServer:
         body: dict[str, Any],
         trace: Trace,
     ) -> dict[str, Any]:
-        started = time.perf_counter()
-        try:
-            return await self._run_tenant_op(tenant, op, body, trace)
-        finally:
-            latency = self._op_latency.get(
-                "mutate" if op in ("add", "retract") else op
-            )
-            if latency is not None:
-                latency.observe(time.perf_counter() - started)
-
-    async def _run_tenant_op(
-        self,
-        tenant: Tenant,
-        op: str,
-        body: dict[str, Any],
-        trace: Trace,
-    ) -> dict[str, Any]:
-        if op in ("implies", "implies_all", "whatif", "check"):
+        """One handler per tenant op that :meth:`_dispatch` routes."""
+        if op not in ("add", "retract"):
             self._check_lag(tenant, body)
         if op == "implies":
             target = body.get("target")
@@ -790,14 +744,12 @@ class ReasoningServer:
                     retract=_string_list(body, "retract"),
                     semantics=_semantics_of(body),
                 )
-        if op == "check":
-            tenant.coalescer.barrier()
-            if tenant.session.db is None:
-                raise ServeError(
-                    400, f"tenant {tenant.name!r} has no bundled database"
-                )
-            return tenant.session.check().to_json()
-        raise ServeError(404, f"unknown tenant operation {op!r}")
+        tenant.coalescer.barrier()  # op == "check"
+        if tenant.session.db is None:
+            raise ServeError(
+                400, f"tenant {tenant.name!r} has no bundled database"
+            )
+        return tenant.session.check().to_json()
 
     # -- introspection -----------------------------------------------------
 

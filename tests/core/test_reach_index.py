@@ -90,12 +90,6 @@ class TestDecide:
         assert result.implied and result.chain == [("R0", ("A",))]
         assert reach.stats()["nodes"] == 0  # nothing materialized
 
-    def test_free_function_routes_to_the_index(self):
-        reach, _ = build(chain_premises())
-        result = decide_ind(IND("R0", ("A",), "R5", ("A",)), reach)
-        assert result.implied
-        assert reach.queries == 1
-
     def test_budget_exceeded_rolls_back_instead_of_half_compiling(self):
         # R0[A,B] fans out through a permuting premise set; a tiny
         # budget must raise and leave the index empty, not poisoned.

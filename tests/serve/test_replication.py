@@ -19,9 +19,12 @@ from repro.serve import (
     BackgroundServer,
     FailoverClient,
     FaultInjector,
+    ReasoningServer,
     ServeClient,
     ServeError,
+    TenantRegistry,
 )
+from repro.serve import replication
 from repro.serve.faults import (
     DROP_CONNECTION,
     NO_FAULTS,
@@ -233,12 +236,46 @@ class TestBadReplies:
                 assert tenant.session.premise_hash == control.premise_hash
 
 
+class TestCatchUp:
+    def test_only_a_resync_refusal_rebootstraps(self, monkeypatch):
+        """A failed WAL pull waits for the next heartbeat; only a 409
+        carrying ``resync`` pulls the snapshot again."""
+        primary = TenantRegistry()
+        primary.create_from_bundle("app", BUNDLE)
+        behind = primary.replication_snapshot_of("app")
+        primary.get("app").mutate("add", [EXTRA_DEP])
+        current = primary.replication_snapshot_of("app")
+        follower = ReasoningServer(replica_of="127.0.0.1:1")
+        follower.registry.create_replica("app", behind)
+        replicator = follower.follower
+        replicator.primary_seqs = {"app": 1}
+        replies = {"/replication/snapshot/app": (200, current)}
+
+        async def stub(endpoint, method, path, payload=None, timeout=None):
+            return replies[path]
+
+        monkeypatch.setattr(replication, "replication_request", stub)
+        refused = "replication data plane partitioned (fault injected)"
+        replies["/replication/wal/app"] = (
+            503, {"error": refused, "status": 503}
+        )
+        asyncio.run(replicator._catch_up())
+        assert replicator.bootstrapped_tenants == 0
+        assert replicator.last_error == refused
+        assert replicator.lag_of("app") == 1
+
+        replies["/replication/wal/app"] = (
+            409, {"error": "resync", "status": 409, "resync": True}
+        )
+        asyncio.run(replicator._catch_up())
+        assert replicator.bootstrapped_tenants == 1
+        assert replicator.lag_of("app") == 0
+
+
 class TestLagBoundedReads:
     def test_max_lag_rejects_stale_follower_reads_then_heals(self, tmp_path):
         registry_faults = FaultInjector("")
         state = StateDir(str(tmp_path / "primary"))
-        from repro.serve import TenantRegistry
-
         registry = TenantRegistry(state_dir=state)
         with BackgroundServer(registry=registry,
                               faults=registry_faults) as primary:
@@ -246,8 +283,8 @@ class TestLagBoundedReads:
             client.create_tenant("app", BUNDLE)
             with follower_of(primary) as follower:
                 wait_until(
-                    lambda: primary.server.replication.followers,
-                    message="follower registration",
+                    lambda: "app" in follower.server.registry.tenants,
+                    message="follower tenant bootstrap",
                 )
                 reader = ServeClient(port=follower.port)
                 assert reader.implies(
@@ -290,8 +327,8 @@ class TestFailoverAndFencing:
             client.create_tenant("app", BUNDLE)
             with follower_of(primary, failover_after=3) as follower:
                 wait_until(
-                    lambda: primary.server.replication.followers,
-                    message="follower registration",
+                    lambda: "app" in follower.server.registry.tenants,
+                    message="follower tenant bootstrap",
                 )
                 client.add("app", [EXTRA_DEP])
 

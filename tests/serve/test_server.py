@@ -1,7 +1,9 @@
 """HTTP end-to-end: routes, errors, degraded answers, and shutdown."""
 
+import http.client
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -11,6 +13,7 @@ import time
 
 import pytest
 
+import repro.serve.server as server_module
 from repro.serve import BackgroundServer, ServeClient, ServeError
 from repro.serve.protocol import MAX_BODY_BYTES
 
@@ -29,6 +32,21 @@ BUNDLE = {
                  "EMP": [["Hilbert", "Math"]],
                  "PERSON": [["Hilbert"]]},
 }
+
+# The route list in the server's module docstring: path -> its methods.
+ROUTES: dict[str, set[str]] = {}
+for _method, _path in re.findall(
+    r"^ {4}(GET|POST|DELETE|PUT) +(/\S*)", server_module.__doc__,
+    re.MULTILINE,
+):
+    ROUTES.setdefault(_path, set()).add(_method)
+UNKNOWN_PATHS = ["/nope", "/tenants/N/bogus", "/replication/bogus"]
+ROUTE_MATRIX = [
+    (method, path)
+    for path in [*ROUTES, *UNKNOWN_PATHS]
+    for method in ("GET", "POST", "DELETE", "PUT")
+    if (method, path) != ("POST", "/shutdown")  # it would drain the server
+]
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +441,36 @@ class TestErrors:
         with pytest.raises(ServeError) as excinfo:
             client.request("POST", "/health", {})
         assert excinfo.value.status == 405
+
+    def test_route_list_is_read_from_the_docstring(self):
+        assert ROUTES["/health"] == {"GET"}
+        assert ROUTES["/tenants"] == {"GET", "POST"}
+        assert ROUTES["/tenants/N"] == {"DELETE"}
+
+    @pytest.mark.parametrize("method, path", ROUTE_MATRIX)
+    def test_route_matrix(self, server, client, tenant, method, path):
+        """A documented route answers its method and 405 to any other;
+        an unknown path answers 404 to every method."""
+        name = tenant
+        if (method, path) == ("DELETE", "/tenants/N"):
+            name = f"{tenant}-dropped"  # the fixture drops its own
+            client.create_tenant(name, BUNDLE)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request(
+                method, re.sub(r"/N\b", f"/{name}", path), body=b"{}",
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            response.read()
+        finally:
+            conn.close()
+        if path not in ROUTES:
+            assert response.status == 404
+        elif method in ROUTES[path]:
+            assert response.status not in (404, 405)
+        else:
+            assert response.status == 405
 
     def test_missing_target_is_400(self, client, tenant):
         with pytest.raises(ServeError) as excinfo:

@@ -11,9 +11,7 @@ import pytest
 from repro.serve.faults import (
     CRASH_AFTER_WAL_APPEND,
     CRASH_BEFORE_WAL_APPEND,
-    FAULTS_ENV,
     LATENCY,
-    LATENCY_ENV,
     FaultInjector,
     NO_FAULTS,
 )
@@ -104,16 +102,6 @@ class TestFaultInjector:
         assert FaultInjector(LATENCY).latency_seconds() == 0.0
         armed = FaultInjector(LATENCY, latency_ms=250)
         assert armed.latency_seconds() == 0.25
-
-    def test_from_env(self):
-        environ = {
-            FAULTS_ENV: f"{LATENCY}, {CRASH_BEFORE_WAL_APPEND}:once",
-            LATENCY_ENV: "50",
-        }
-        faults = FaultInjector.from_env(environ)
-        assert faults.latency_seconds() == 0.05
-        assert faults.trip(CRASH_BEFORE_WAL_APPEND)
-        assert not faults.trip(CRASH_BEFORE_WAL_APPEND)
 
     def test_stats_shape(self):
         faults = FaultInjector(LATENCY, latency_ms=10)
