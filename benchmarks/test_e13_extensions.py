@@ -3,7 +3,6 @@
 * Armstrong-database generators (FD gadget lattice, IND pad
   saturation) — the constructive form of the existence results the
   paper cites;
-* the bidirectional variant of the Corollary 3.2 procedure;
 * formal FD proofs (Armstrong's axioms) from closure derivations.
 """
 
@@ -14,11 +13,8 @@ import pytest
 from repro.core.armstrong_fd import armstrong_relation, is_armstrong_relation
 from repro.core.armstrong_ind import armstrong_database, is_armstrong_database
 from repro.core.fd_axioms import check_fd_proof, prove_fd
-from repro.core.ind_bidirectional import decide_ind_bidirectional
-from repro.core.ind_decision import decide_ind
 from repro.deps.fd import FD
-from repro.deps.ind import IND
-from repro.model.schema import DatabaseSchema, RelationSchema
+from repro.model.schema import RelationSchema
 from repro.workloads.random_deps import random_inds, random_schema
 
 
@@ -48,32 +44,6 @@ def test_section7_armstrong_via_generator(benchmark):
     family = section7_family(3)
     db = benchmark(lambda: armstrong_database(family.schema, family.inds))
     assert db.satisfies_all(family.inds)
-
-
-@pytest.mark.parametrize("length", [64, 256])
-def test_bidirectional_vs_forward_chain(benchmark, length):
-    premises = [
-        IND(f"R{i}", ("A",) if i == 0 else ("B",), f"R{i+1}", ("B",))
-        for i in range(length)
-    ]
-    target = IND("R0", ("A",), f"R{length}", ("B",))
-    result = benchmark(lambda: decide_ind_bidirectional(target, premises))
-    assert result.implied
-    assert result.chain_length == length + 1
-
-
-@pytest.mark.parametrize("fan", [10, 30])
-def test_bidirectional_on_fanout(benchmark, fan):
-    premises = []
-    for i in range(6):
-        premises.append(IND(f"R{i}", ("A",), f"R{i+1}", ("A",)))
-        for j in range(fan):
-            premises.append(IND(f"R{i}", ("A",), f"N{i}_{j}", ("A",)))
-    target = IND("R0", ("A",), "R6", ("A",))
-    result = benchmark(lambda: decide_ind_bidirectional(target, premises))
-    forward = decide_ind(target, premises)
-    assert result.implied and forward.implied
-    assert result.explored < forward.explored
 
 
 @pytest.mark.parametrize("chain", [4, 8])

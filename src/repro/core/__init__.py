@@ -45,7 +45,6 @@ from repro.core.ind_axioms import (
     check_proof,
     reflexivity,
 )
-from repro.core.ind_bidirectional import decide_ind_bidirectional
 from repro.core.ind_decision import DecisionResult, decide_ind, decide_ind_naive
 from repro.core.ind_prover import (
     decide_bounded_arity,
@@ -80,7 +79,6 @@ __all__ = [
     "DecisionResult",
     "decide_ind",
     "decide_ind_naive",
-    "decide_ind_bidirectional",
     "decide_bounded_arity",
     "decide_typed",
     "implies_ind",

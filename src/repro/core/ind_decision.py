@@ -36,9 +36,9 @@ Expression = tuple[str, tuple[str, ...]]
 PremiseIndexMap = Mapping[str, tuple[IND, ...]]
 """Premises bucketed by a relation name (left side for forward search)."""
 
-Premises = Union[Iterable[IND], PremiseIndexMap, KernelIndex]
-"""A flat premise collection, a pre-built relation index, or the
-kernel-compiled index a :class:`~repro.engine.index.PremiseIndex` owns."""
+Premises = Union[Iterable[IND], KernelIndex]
+"""A flat premise collection, or the kernel-compiled index a
+:class:`~repro.engine.index.PremiseIndex` owns."""
 
 
 def index_by_lhs(premises: Iterable[IND]) -> dict[str, tuple[IND, ...]]:
@@ -54,57 +54,27 @@ def index_by_lhs(premises: Iterable[IND]) -> dict[str, tuple[IND, ...]]:
     return {name: tuple(bucket) for name, bucket in buckets.items()}
 
 
-def index_by_rhs(premises: Iterable[IND]) -> dict[str, tuple[IND, ...]]:
-    """Bucket premises by their right-hand relation (backward search)."""
-    buckets: dict[str, list[IND]] = {}
-    for premise in premises:
-        buckets.setdefault(premise.rhs_relation, []).append(premise)
-    return {name: tuple(bucket) for name, bucket in buckets.items()}
-
-
-def _candidates_for(
-    premises: Union[Iterable[IND], PremiseIndexMap], relation: str
-) -> Iterable[IND]:
-    """Premises possibly applicable at ``relation`` (flat or bucketed).
-
-    Used by the backward direction of the bidirectional search, whose
-    buckets are keyed by *right*-hand relation and therefore cannot
-    reuse the forward kernels.
-    """
-    if isinstance(premises, Mapping):
-        return premises.get(relation, ())
-    return premises
-
-
 def _as_kernels(premises: Premises) -> KernelIndex:
-    """Whatever premise shape the caller has, as a kernel index.
+    """The premises as a kernel index.
 
     A :class:`KernelIndex` passes through untouched — this is how the
-    session shares one compilation across queries and mutations.  Flat
-    collections and ``index_by_lhs`` mappings are bucketed here; the
-    per-IND kernel compilation itself is memoized on the IND objects,
-    so re-wrapping the same premises is cheap.
+    session shares one compilation across queries and mutations.  A
+    flat collection is bucketed here; the per-IND kernel compilation
+    itself is memoized on the IND objects, so re-wrapping the same
+    premises is cheap.
     """
     if isinstance(premises, KernelIndex):
         return premises
-    if isinstance(premises, Mapping):
-        return KernelIndex.from_lhs_buckets(premises)
     return KernelIndex(premises)
 
 
 def _kernel_bucket_for(premises: Premises, relation: str) -> tuple[INDKernel, ...]:
     if isinstance(premises, KernelIndex):
         return premises.bucket(relation)
-    if isinstance(premises, Mapping):
-        # A mapping's buckets are not necessarily lhs-keyed (callers
-        # also hold index_by_rhs maps); only lhs-matching premises can
-        # move an expression over ``relation``.
-        bucket = [
-            p for p in premises.get(relation, ()) if p.lhs_relation == relation
-        ]
-    else:
-        bucket = [p for p in premises if p.lhs_relation == relation]
-    return tuple(compile_ind(premise) for premise in bucket)
+    return tuple(
+        compile_ind(premise) for premise in premises
+        if premise.lhs_relation == relation
+    )
 
 
 @dataclass(frozen=True)
@@ -165,10 +135,10 @@ def successors(
     ``C1..Ck``; the successor maps each attribute through the premise's
     positional correspondence (this is rule IND2).
 
-    ``premises`` may be a flat collection, an :func:`index_by_lhs`
-    mapping, or a pre-compiled :class:`KernelIndex`; each applicable
-    premise is evaluated through its memoized kernel, so repeated
-    calls over the same expressions are dictionary hits.
+    ``premises`` may be a flat collection or a pre-compiled
+    :class:`KernelIndex`; each applicable premise is evaluated through
+    its memoized kernel, so repeated calls over the same expressions
+    are dictionary hits.
     :func:`successors_naive` is the retained textbook reference.
     """
     _relation, attrs = expression

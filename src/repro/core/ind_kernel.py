@@ -32,7 +32,7 @@ maintains incrementally through the premise lifecycle.
 from __future__ import annotations
 
 from sys import intern
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from repro.deps.ind import IND
 
@@ -135,26 +135,6 @@ class KernelIndex:
         self.mutations = 0
         for ind in premises:
             self.add(ind)
-
-    @classmethod
-    def from_lhs_buckets(
-        cls, buckets: Mapping[str, tuple[IND, ...]]
-    ) -> "KernelIndex":
-        """Compile an :func:`index_by_lhs`-style mapping (memoized per IND).
-
-        Premises whose left relation does not match their bucket key
-        are dropped — an rhs-keyed mapping (``index_by_rhs``) contains
-        no forward moves, exactly as the uncompiled search treats it.
-        """
-        index = cls()
-        index.buckets = {
-            intern(name): compiled
-            for name, bucket in buckets.items()
-            if (compiled := tuple(
-                compile_ind(ind) for ind in bucket if ind.lhs_relation == name
-            ))
-        }
-        return index
 
     def bucket(self, relation: str) -> tuple[INDKernel, ...]:
         return self.buckets.get(relation, ())

@@ -113,14 +113,12 @@ class PremiseIndex:
         self,
         schema: DatabaseSchema,
         dependencies: Iterable[Dependency] = (),
-        validate: bool = True,
     ):
         PremiseIndex.builds_total += 1
         self.schema = schema
         self._deps: list[Dependency] = list(dependencies)
-        if validate:
-            for dep in self._deps:
-                dep.validate(schema)
+        for dep in self._deps:
+            dep.validate(schema)
 
         self._counts: dict[str, int] = {"ind": 0, "fd": 0, "rd": 0, "other": 0}
         self._views: dict[str, tuple] = {}  # lazily rebuilt per class
@@ -219,20 +217,17 @@ class PremiseIndex:
 
     # -- the premise lifecycle ---------------------------------------------
 
-    def add(
-        self, dependencies: Iterable[Dependency], validate: bool = True
-    ) -> MutationDelta:
+    def add(self, dependencies: Iterable[Dependency]) -> MutationDelta:
         """Insert premises in place, updating buckets incrementally.
 
-        Returns the :class:`MutationDelta` naming the touched buckets.
-        Affected memoized closures and candidate keys are dropped here
-        (per relation); reachability/unary caches live in the session,
-        which scopes its own invalidation from the returned delta.
+        The premises must already be validated against the schema (the
+        session validates each one while coercing it).  Returns the
+        :class:`MutationDelta` naming the touched buckets.  Affected
+        memoized closures and candidate keys are dropped here (per
+        relation); reachability/unary caches live in the session, which
+        scopes its own invalidation from the returned delta.
         """
         added = tuple(dependencies)
-        if validate:
-            for dep in added:
-                dep.validate(self.schema)
         for dep in added:
             self._deps.append(dep)
             self._classify_insert(dep)

@@ -286,7 +286,7 @@ class ReasoningSession:
         the caches the mutation can actually affect (see the module
         docstring).  Returns the :class:`MutationDelta`.
         """
-        delta = self.index.add(self._coerce_many(dependencies), validate=False)
+        delta = self.index.add(self._coerce_many(dependencies))
         self._apply_delta(delta)
         return delta
 

@@ -167,9 +167,8 @@ class Coalescer:
             traced = waiters.get((text, semantics)) if waiters else None
             decide_start = time.perf_counter() if traced else 0.0
             try:
-                target = session._coerce(text)
                 answer = session.implies(
-                    target, semantics, _coerced=True,
+                    text, semantics,
                     deadline=deadlines.get((text, semantics)),
                     degrade=self.degrade,
                 )

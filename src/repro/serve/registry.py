@@ -310,20 +310,19 @@ class Tenant:
             if replay is not None:
                 self.replayed_mutations += 1
                 return {**replay, "idempotent_replay": True}
-        coerced = self.session._coerce_many(deps)
         self.coalescer.barrier()
         if kind == "add":
-            delta = self.session.add(coerced)
+            delta = self.session.add(deps)
         else:
-            delta = self.session.retract(coerced)
+            delta = self.session.retract(deps)
         result = {
             "version": self.session.version,
             "added": [str(dep) for dep in delta.added],
             "removed": [str(dep) for dep in delta.removed],
         }
+        changed = result["added"] if kind == "add" else result["removed"]
         record = self.last_record = self.store.append(
-            {kind: [str(dep) for dep in coerced]},
-            key=key, result=result, trace=trace,
+            {kind: list(changed)}, key=key, result=result, trace=trace,
         )
         result["seq"] = record["seq"]
         self._checkpoint_if_due(trace)

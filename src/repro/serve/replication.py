@@ -131,7 +131,7 @@ async def replication_request(
             writer.close()
             try:
                 await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
+            except OSError:
                 pass
 
     try:
@@ -366,7 +366,7 @@ class FollowerReplicator:
         self.known_term = max(self.known_term, self.server.registry.term)
         while self.server.role == "follower":
             await self._tick()
-            if self.server.role != "follower":
+            if self.server.role != "follower" or self.server.draining:
                 break
             await asyncio.sleep(self.heartbeat)
 

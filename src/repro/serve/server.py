@@ -319,6 +319,11 @@ class ReasoningServer:
         if leader:
             self.primary_endpoint = leader
 
+    @property
+    def draining(self) -> bool:
+        """Whether :meth:`begin_shutdown` has flipped the drain switch."""
+        return self._shutdown is not None and self._shutdown.is_set()
+
     def begin_shutdown(self) -> None:
         """Flip the drain switch (idempotent, signal-handler safe)."""
         if self._shutdown is not None and not self._shutdown.is_set():
@@ -400,10 +405,7 @@ class ReasoningServer:
                     break
                 if request is None:
                     break
-                closing = (
-                    not request.keep_alive
-                    or (self._shutdown is not None and self._shutdown.is_set())
-                )
+                closing = not request.keep_alive or self.draining
                 if (
                     request.method == "GET"
                     and request.path == "/metrics"
@@ -502,9 +504,7 @@ class ReasoningServer:
                 return {
                     "ok": True,
                     "tenants": len(self.registry.tenants),
-                    "draining": bool(
-                        self._shutdown and self._shutdown.is_set()
-                    ),
+                    "draining": self.draining,
                     "role": self.role,
                     "term": self.registry.term,
                     "primary": (
@@ -756,7 +756,7 @@ class ReasoningServer:
     def stats(self) -> dict[str, Any]:
         payload = {
             "ok": True,
-            "draining": bool(self._shutdown and self._shutdown.is_set()),
+            "draining": self.draining,
             "requests_served": self.requests_served.value,
             "degraded_answers": self.degraded_answers.value,
             "default_deadline": self.default_deadline,

@@ -9,6 +9,12 @@ import pytest
 from repro.model.schema import DatabaseSchema, RelationSchema
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (no CI step selects on it)"
+    )
+
+
 @pytest.fixture
 def rs_ab() -> RelationSchema:
     """A two-attribute relation scheme R[A,B]."""

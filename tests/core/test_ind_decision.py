@@ -104,23 +104,6 @@ class TestSuccessors:
         premise = IND("R", ("A",), "S", ("B",))
         assert list(successors(("R", ("C",)), [premise])) == []
 
-    def test_rhs_keyed_mapping_yields_no_forward_moves(self):
-        # An index_by_rhs bucket holds premises under their *right*
-        # relation; none of them can move an expression forward, and
-        # the kernel path must filter them like the naive path does.
-        from repro.core.ind_decision import index_by_rhs, successors_naive
-
-        premise = IND("R", ("A",), "S", ("A",))
-        backward_index = index_by_rhs([premise])
-        assert list(successors(("S", ("A",)), backward_index)) == []
-        assert list(successors(("S", ("A",)), backward_index)) == list(
-            successors_naive(("S", ("A",)), backward_index)
-        )
-        result = decide_ind(
-            parse_dependency("S[A] <= R[A]"), backward_index
-        )
-        assert not result.implied
-
     def test_reflexive_decision_reports_a_frontier(self):
         # The trivial R[A] <= R[A] answer must report the same stats
         # shape as a searched one (frontier_peak >= 1, not 0).

@@ -59,7 +59,6 @@ PROBES = [
 def start_server(state_dir, *extra_args):
     """Launch ``repro serve --state-dir`` and wait for its port."""
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    env.pop("REPRO_FAULTS", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--state-dir", str(state_dir), *extra_args],
@@ -81,7 +80,8 @@ def start_server(state_dir, *extra_args):
 
 def stop_server(proc, port):
     """Graceful drain; asserts a clean exit."""
-    ServeClient(port=port, retries=0).shutdown()
+    with ServeClient(port=port, retries=0) as client:
+        client.shutdown()
     assert proc.wait(timeout=15) == 0
 
 
@@ -89,6 +89,7 @@ def kill_leftover(proc):
     if proc.poll() is None:
         proc.kill()
         proc.wait()
+    proc.stdout.close()
 
 
 def control_hash(mutations):
@@ -101,12 +102,14 @@ def control_hash(mutations):
 
 
 class TestCrashAfterWalAppend:
-    def test_acked_mutation_survives_and_keyed_retry_dedups(self, tmp_path):
+    def test_acked_mutation_survives_and_keyed_retry_dedups(
+        self, tmp_path, make_client
+    ):
         state = tmp_path / "state"
 
         proc, port, _ = start_server(state)
         try:
-            client = ServeClient(port=port, retries=0)
+            client = make_client(port=port, retries=0)
             client.create_tenant("app", BUNDLE)
             client.add("app", [SETUP_DEP], key="setup")
             stop_server(proc, port)
@@ -117,7 +120,7 @@ class TestCrashAfterWalAppend:
             state, "--faults", "crash-after-wal-append:once"
         )
         try:
-            crashing = ServeClient(port=port, retries=0)
+            crashing = make_client(port=port, retries=0)
             with pytest.raises(
                 (ConnectionError, http.client.HTTPException, OSError)
             ):
@@ -130,7 +133,7 @@ class TestCrashAfterWalAppend:
         try:
             assert "recovered 1 tenant(s)" in banner
             assert "1 WAL record(s) replayed" in banner
-            client = ServeClient(port=port)
+            client = make_client(port=port)
             stats = client.tenant_stats("app")
             control, expected_hash = control_hash([SETUP_DEP, CRASH_DEP])
             # The fsync'd-but-unacknowledged mutation survived the crash.
@@ -151,12 +154,14 @@ class TestCrashAfterWalAppend:
 
 
 class TestCrashBeforeWalAppend:
-    def test_unlogged_mutation_is_lost_then_retry_applies(self, tmp_path):
+    def test_unlogged_mutation_is_lost_then_retry_applies(
+        self, tmp_path, make_client
+    ):
         state = tmp_path / "state"
 
         proc, port, _ = start_server(state)
         try:
-            client = ServeClient(port=port, retries=0)
+            client = make_client(port=port, retries=0)
             client.create_tenant("app", BUNDLE)
             stop_server(proc, port)
         finally:
@@ -166,7 +171,7 @@ class TestCrashBeforeWalAppend:
             state, "--faults", "crash-before-wal-append:once"
         )
         try:
-            crashing = ServeClient(port=port, retries=0)
+            crashing = make_client(port=port, retries=0)
             with pytest.raises(
                 (ConnectionError, http.client.HTTPException, OSError)
             ):
@@ -178,7 +183,7 @@ class TestCrashBeforeWalAppend:
         proc, port, banner = start_server(state)
         try:
             assert "recovered 1 tenant(s)" in banner
-            client = ServeClient(port=port)
+            client = make_client(port=port)
             _, created_hash = control_hash([])
             stats = client.tenant_stats("app")
             # Never logged, never acknowledged: correctly lost.
@@ -196,7 +201,9 @@ class TestCrashBeforeWalAppend:
 
 
 class TestCrashInSnapshot:
-    def test_rolled_segment_recovers_the_write_that_came_due(self, tmp_path):
+    def test_rolled_segment_recovers_the_write_that_came_due(
+        self, tmp_path, make_client
+    ):
         state = tmp_path / "state"
 
         proc, port, _ = start_server(
@@ -204,7 +211,7 @@ class TestCrashInSnapshot:
             "--faults", "crash-in-snapshot:once",
         )
         try:
-            client = ServeClient(port=port, retries=0)
+            client = make_client(port=port, retries=0)
             client.create_tenant("app", BUNDLE)
             client.add("app", [SETUP_DEP], key="setup")
             # The second write rolls the WAL before its reply; the
@@ -222,7 +229,7 @@ class TestCrashInSnapshot:
         try:
             assert "recovered 1 tenant(s)" in banner
             assert "2 WAL record(s) replayed" in banner
-            client = ServeClient(port=port)
+            client = make_client(port=port)
             stats = client.tenant_stats("app")
             control, expected_hash = control_hash([SETUP_DEP, CRASH_DEP])
             assert stats["premise_hash"] == expected_hash
@@ -238,12 +245,14 @@ class TestCrashInSnapshot:
 
 
 class TestDropConnection:
-    def test_client_backoff_heals_dropped_response(self, tmp_path):
+    def test_client_backoff_heals_dropped_response(
+        self, tmp_path, make_client
+    ):
         proc, port, _ = start_server(
             tmp_path / "state", "--faults", "drop-connection:once"
         )
         try:
-            client = ServeClient(port=port, retries=3, backoff_base=0.01)
+            client = make_client(port=port, retries=3, backoff_base=0.01)
             # The very first response is cut off mid-bytes; the retry
             # loop reconnects and the caller sees only the clean answer.
             assert client.health()["ok"] is True

@@ -88,11 +88,11 @@ def parse_exposition(text):
 @pytest.fixture(scope="module")
 def server():
     with BackgroundServer() as bg:
-        client = ServeClient(port=bg.port)
-        client.create_tenant("obs", BUNDLE)
-        client.implies("obs", PROBE)
-        client.add("obs", [EXTRA_DEP])
-        client.whatif("obs", add=[EXTRA_DEP], targets=[PROBE])
+        with ServeClient(port=bg.port) as client:
+            client.create_tenant("obs", BUNDLE)
+            client.implies("obs", PROBE)
+            client.add("obs", [EXTRA_DEP])
+            client.whatif("obs", add=[EXTRA_DEP], targets=[PROBE])
         yield bg
 
 
@@ -268,7 +268,9 @@ class TestClientTransportStats:
 
 
 class TestTracePropagation:
-    def test_trace_id_rides_wal_and_replication(self, tmp_path):
+    def test_trace_id_rides_wal_and_replication(
+        self, tmp_path, make_client
+    ):
         """A traced mutation's id survives primary WAL -> follower WAL,
         and the echoed waterfall shows the fsync and ship spans."""
         trace_id = "cafef00d12345678"
@@ -276,7 +278,7 @@ class TestTracePropagation:
             state_dir=StateDir(str(tmp_path / "primary"))
         )
         with BackgroundServer(registry=primary_registry) as primary:
-            client = ServeClient(port=primary.port)
+            client = make_client(port=primary.port)
             client.create_tenant("app", BUNDLE)
             follower_registry = TenantRegistry(
                 state_dir=StateDir(str(tmp_path / "follower"))

@@ -9,6 +9,7 @@ and ``test_replication_chaos.py`` covers that with kill -9.
 """
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -20,7 +21,6 @@ from repro.serve import (
     FailoverClient,
     FaultInjector,
     ReasoningServer,
-    ServeClient,
     ServeError,
     TenantRegistry,
 )
@@ -80,13 +80,15 @@ def control_session(mutations=()):
 
 
 class TestBootstrapAndForward:
-    def test_follower_bootstraps_and_serves_equivalent_reads(self):
+    def test_follower_bootstraps_and_serves_equivalent_reads(
+        self, make_client
+    ):
         with BackgroundServer() as primary:
-            client = ServeClient(port=primary.port)
+            client = make_client(port=primary.port)
             client.create_tenant("app", BUNDLE)
             client.add("app", [EXTRA_DEP])
             with follower_of(primary) as follower:
-                reader = ServeClient(port=follower.port)
+                reader = make_client(port=follower.port)
                 wait_until(
                     lambda: "app" in follower.server.registry.tenants,
                     message="follower tenant bootstrap",
@@ -99,12 +101,12 @@ class TestBootstrapAndForward:
                     served = reader.implies("app", probe)["verdict"]
                     assert served == control.implies(probe).verdict, probe
 
-    def test_forward_is_synchronous_with_the_ack(self):
+    def test_forward_is_synchronous_with_the_ack(self, make_client):
         """Once the follower has bootstrapped the tenant, a 200 on a
         mutation means the record is already applied there — no sleep
         needed."""
         with BackgroundServer() as primary:
-            client = ServeClient(port=primary.port)
+            client = make_client(port=primary.port)
             client.create_tenant("app", BUNDLE)
             with follower_of(primary) as follower:
                 wait_until(
@@ -123,22 +125,24 @@ class TestBootstrapAndForward:
                 assert tenant.replicated_seq == 1
                 control = control_session([EXTRA_DEP])
                 assert tenant.session.premise_hash == control.premise_hash
-                stats = ServeClient(port=primary.port).stats()
+                stats = make_client(port=primary.port).stats()
                 replication = stats["replication"]
                 assert replication["forwarded_records"] == 1
                 [handle] = replication["followers"]
                 assert handle["state"] == "healthy"
                 assert handle["acked_seq"] == {"app": 1}
 
-    def test_mutations_on_a_follower_redirect_to_the_primary(self):
+    def test_mutations_on_a_follower_redirect_to_the_primary(
+        self, make_client
+    ):
         with BackgroundServer() as primary:
-            ServeClient(port=primary.port).create_tenant("app", BUNDLE)
+            make_client(port=primary.port).create_tenant("app", BUNDLE)
             with follower_of(primary) as follower:
                 wait_until(
                     lambda: "app" in follower.server.registry.tenants,
                     message="follower tenant bootstrap",
                 )
-                writer = ServeClient(port=follower.port)
+                writer = make_client(port=follower.port)
                 with pytest.raises(ServeError) as info:
                     writer.add("app", [EXTRA_DEP])
                 assert info.value.status == 421
@@ -147,9 +151,9 @@ class TestBootstrapAndForward:
                     writer.create_tenant("other", BUNDLE)
                 assert info.value.status == 421
 
-    def test_keyed_replay_is_not_reforwarded(self):
+    def test_keyed_replay_is_not_reforwarded(self, make_client):
         with BackgroundServer() as primary:
-            client = ServeClient(port=primary.port)
+            client = make_client(port=primary.port)
             client.create_tenant("app", BUNDLE)
             with follower_of(primary) as follower:
                 wait_until(
@@ -198,9 +202,9 @@ class TestBadReplies:
 
         asyncio.run(scenario())
 
-    def test_cut_short_heartbeat_is_a_missed_beat(self):
+    def test_cut_short_heartbeat_is_a_missed_beat(self, make_client):
         with BackgroundServer() as primary:
-            ServeClient(port=primary.port).create_tenant("app", BUNDLE)
+            make_client(port=primary.port).create_tenant("app", BUNDLE)
             # The follower's first heartbeat is the request that drops.
             primary.server.faults = FaultInjector(f"{DROP_CONNECTION}:once")
             with follower_of(primary) as follower:
@@ -211,9 +215,9 @@ class TestBadReplies:
                 assert primary.server.faults.fired[DROP_CONNECTION] == 1
                 assert follower.server.follower.heartbeats_missed == 1
 
-    def test_cut_short_forward_reply_still_acknowledges(self):
+    def test_cut_short_forward_reply_still_acknowledges(self, make_client):
         with BackgroundServer() as primary:
-            client = ServeClient(port=primary.port)
+            client = make_client(port=primary.port)
             client.create_tenant("app", BUNDLE)
             with follower_of(primary) as follower:
                 wait_until(
@@ -272,21 +276,49 @@ class TestCatchUp:
         assert replicator.lag_of("app") == 0
 
 
+class TestShutdown:
+    def test_follower_stops_after_a_swallowed_cancel(self, monkeypatch):
+        """A replication request that swallows the shutdown's cancel
+        must not keep the follower heartbeating: it stops once the
+        server drains."""
+        entered = threading.Event()
+
+        async def swallow_cancel(endpoint, method, path, payload=None,
+                                 timeout=None):
+            entered.set()
+            try:
+                await asyncio.sleep(0.5)
+            except asyncio.CancelledError:
+                pass
+            return 503, {"error": "primary unreachable", "status": 503}
+
+        monkeypatch.setattr(
+            replication, "replication_request", swallow_cancel
+        )
+        follower = BackgroundServer(
+            replica_of="127.0.0.1:1", heartbeat=0.05, failover_after=0
+        ).start()
+        assert entered.wait(timeout=5)
+        follower.stop(timeout=5)
+
+
 class TestLagBoundedReads:
-    def test_max_lag_rejects_stale_follower_reads_then_heals(self, tmp_path):
+    def test_max_lag_rejects_stale_follower_reads_then_heals(
+        self, tmp_path, make_client
+    ):
         registry_faults = FaultInjector("")
         state = StateDir(str(tmp_path / "primary"))
         registry = TenantRegistry(state_dir=state)
         with BackgroundServer(registry=registry,
                               faults=registry_faults) as primary:
-            client = ServeClient(port=primary.port)
+            client = make_client(port=primary.port)
             client.create_tenant("app", BUNDLE)
             with follower_of(primary) as follower:
                 wait_until(
                     lambda: "app" in follower.server.registry.tenants,
                     message="follower tenant bootstrap",
                 )
-                reader = ServeClient(port=follower.port)
+                reader = make_client(port=follower.port)
                 assert reader.implies(
                     "app", PROBES[2], max_lag=0
                 )["verdict"] is True
@@ -321,9 +353,9 @@ class TestLagBoundedReads:
 
 
 class TestFailoverAndFencing:
-    def test_promotion_fencing_and_stepdown(self):
+    def test_promotion_fencing_and_stepdown(self, make_client):
         with BackgroundServer() as primary:
-            client = ServeClient(port=primary.port)
+            client = make_client(port=primary.port)
             client.create_tenant("app", BUNDLE)
             with follower_of(primary, failover_after=3) as follower:
                 wait_until(
@@ -340,12 +372,12 @@ class TestFailoverAndFencing:
                     message="follower promotion",
                 )
                 assert follower.server.registry.term == 1
-                health = ServeClient(port=follower.port).health()
+                health = make_client(port=follower.port).health()
                 assert health["role"] == "primary"
                 assert health["term"] == 1
 
                 # The promoted node accepts mutations now.
-                promoted_writer = ServeClient(port=follower.port)
+                promoted_writer = make_client(port=follower.port)
                 result = promoted_writer.add(
                     "app", ["EMP[DEPT] <= MGR[DEPT]"]
                 )
@@ -354,7 +386,7 @@ class TestFailoverAndFencing:
                 # The resurrected old primary's next forward is fenced
                 # by the higher term, and it steps down on the spot.
                 primary.server.faults = NO_FAULTS
-                stale_writer = ServeClient(port=primary.port)
+                stale_writer = make_client(port=primary.port)
                 stale_writer.add("app", ["PERSON[NAME] <= MGR[NAME]"])
                 assert primary.server.role == "fenced"
                 assert primary.server.registry.term == 1
@@ -363,9 +395,9 @@ class TestFailoverAndFencing:
                 assert info.value.status == 421
                 assert info.value.extra["primary"] == endpoint_of(follower)
 
-    def test_promotion_refused_from_an_incomplete_log(self):
+    def test_promotion_refused_from_an_incomplete_log(self, make_client):
         with BackgroundServer() as primary:
-            client = ServeClient(port=primary.port)
+            client = make_client(port=primary.port)
             client.create_tenant("app", BUNDLE)
             with follower_of(primary, failover_after=2) as follower:
                 wait_until(
@@ -392,9 +424,9 @@ class TestFailoverAndFencing:
 
 
 class TestFailoverClient:
-    def test_reads_route_to_followers_and_writes_to_primary(self):
+    def test_reads_route_to_followers_and_writes_to_primary(self, make_client):
         with BackgroundServer() as primary:
-            setup = ServeClient(port=primary.port)
+            setup = make_client(port=primary.port)
             setup.create_tenant("app", BUNDLE)
             with follower_of(primary) as follower:
                 wait_until(
@@ -421,9 +453,9 @@ class TestFailoverClient:
                 )
                 fc.close()
 
-    def test_mutations_chase_the_primary_through_failover(self):
+    def test_mutations_chase_the_primary_through_failover(self, make_client):
         with BackgroundServer() as primary:
-            setup = ServeClient(port=primary.port)
+            setup = make_client(port=primary.port)
             setup.create_tenant("app", BUNDLE)
             follower = follower_of(
                 primary, failover_after=3, heartbeat=0.05

@@ -25,7 +25,7 @@ import pytest
 
 from repro.io import bundle_from_payload
 from repro.engine.session import ReasoningSession
-from repro.serve import FailoverClient, ServeClient, ServeError
+from repro.serve import FailoverClient, ServeError
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -73,7 +73,6 @@ def toggle_burst():
 def start_server(*args):
     """Launch ``repro serve`` and wait for its port."""
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    env.pop("REPRO_FAULTS", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
         stdout=subprocess.PIPE,
@@ -96,6 +95,7 @@ def kill_leftover(proc):
     if proc.poll() is None:
         proc.kill()
         proc.wait()
+    proc.stdout.close()
 
 
 def control_state(ops):
@@ -111,7 +111,9 @@ def control_state(ops):
 
 
 class TestKillNinePrimaryMidBurst:
-    def test_failover_preserves_every_acknowledged_mutation(self, tmp_path):
+    def test_failover_preserves_every_acknowledged_mutation(
+        self, tmp_path, make_client
+    ):
         ops = toggle_burst()
         kill_at = len(ops) // 2
 
@@ -120,7 +122,7 @@ class TestKillNinePrimaryMidBurst:
         )
         follower_proc = None
         try:
-            ServeClient(port=primary_port).create_tenant("app", BUNDLE)
+            make_client(port=primary_port).create_tenant("app", BUNDLE)
             follower_proc, follower_port, _ = start_server(
                 "--state-dir", str(tmp_path / "follower"),
                 "--replica-of", f"127.0.0.1:{primary_port}",
@@ -136,7 +138,7 @@ class TestKillNinePrimaryMidBurst:
             # Wait until the follower has the tenant, so mid-burst
             # records forward instead of queuing behind a bootstrap.
             deadline = time.monotonic() + 15
-            reader = ServeClient(port=follower_port)
+            reader = make_client(port=follower_port)
             while time.monotonic() < deadline:
                 try:
                     if reader.tenant_stats("app"):
@@ -149,8 +151,8 @@ class TestKillNinePrimaryMidBurst:
             killed_at = None
             for index, (kind, dep, key) in enumerate(ops):
                 if index == kill_at:
-                    primary_proc.kill()  # SIGKILL: no drain, no flushes
-                    primary_proc.wait()
+                    # SIGKILL: no drain, no flushes.
+                    kill_leftover(primary_proc)
                     killed_at = time.monotonic()
                 mutator = fleet.add if kind == "add" else fleet.retract
                 result = mutator("app", [dep], key=key)
@@ -164,14 +166,14 @@ class TestKillNinePrimaryMidBurst:
             # promotion and client re-resolution).
             assert failover_seconds is not None and failover_seconds < 20
 
-            health = ServeClient(port=follower_port).health()
+            health = make_client(port=follower_port).health()
             assert health["role"] == "primary"
             assert health["term"] == 1
 
             # Zero acknowledged-mutation loss + exactly-once: the final
             # state equals the uninterrupted control's, to the hash.
             control = control_state(ops)
-            stats = ServeClient(port=follower_port).tenant_stats("app")
+            stats = make_client(port=follower_port).tenant_stats("app")
             assert stats["premise_hash"] == control.premise_hash
             assert stats["version"] == control.version
             for probe in PROBES:
@@ -184,13 +186,13 @@ class TestKillNinePrimaryMidBurst:
                 mutator = fleet.add if kind == "add" else fleet.retract
                 assert mutator("app", [dep], key=key).get(
                     "idempotent_replay") is True, key
-            assert ServeClient(port=follower_port).tenant_stats(
+            assert make_client(port=follower_port).tenant_stats(
                 "app")["version"] == control.version
 
             # A stale primary's stream (term 0 < the promoted term 1)
             # is fenced, never applied.
             with pytest.raises(ServeError) as info:
-                ServeClient(port=follower_port).request(
+                make_client(port=follower_port).request(
                     "POST", "/replication/apply",
                     {"term": 0, "primary": "127.0.0.1:1", "tenant": "app",
                      "records": [{"seq": 999, "term": 0, "patch": {}}]},

@@ -271,9 +271,9 @@ class TestDegraded:
             )
         assert excinfo.value.status == 400
 
-    def test_server_wide_default_deadline(self):
+    def test_server_wide_default_deadline(self, make_client):
         with BackgroundServer(default_deadline=1e-9) as bg:
-            client = ServeClient(port=bg.port)
+            client = make_client(port=bg.port)
             client.create_tenant("app", BUNDLE)
             answer = client.implies("app", "MGR[NAME] <= PERSON[NAME]")
             assert answer["verdict"] == "unknown"
@@ -516,15 +516,15 @@ class TestErrors:
 
 
 class TestShutdownEndpoint:
-    def test_post_shutdown_drains_and_exits(self):
+    def test_post_shutdown_drains_and_exits(self, make_client):
         with BackgroundServer() as bg:
-            client = ServeClient(port=bg.port)
+            client = make_client(port=bg.port)
             assert client.shutdown()["draining"] is True
             bg._thread.join(timeout=10)
             assert not bg._thread.is_alive()
             # A fresh connection must now be refused.
             with pytest.raises((ServeError, OSError)):
-                ServeClient(port=bg.port).health()
+                make_client(port=bg.port).health()
 
 
 class TestSigtermDrain:
@@ -591,6 +591,7 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
     def test_sigterm_idle_server_exits_zero(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
@@ -609,3 +610,4 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()

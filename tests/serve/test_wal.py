@@ -63,6 +63,15 @@ def seqs(records):
     return [record["seq"] for record in records]
 
 
+def recovered_names(state):
+    """The tenant names ``state.recover()`` finds; closes their stores."""
+    names = []
+    for name, store, _snapshot, _tail in state.recover():
+        store.close()
+        names.append(name)
+    return names
+
+
 class TestFaultInjector:
     def test_unarmed_is_falsy_and_never_trips(self):
         assert not NO_FAULTS
@@ -160,7 +169,8 @@ class TestTenantStore:
         store.append({"retract": ["R: A -> B"]})
         store.close()
 
-        _, snapshot, tail = TenantStore.open(str(tmp_path / "t"))
+        reopened, snapshot, tail = TenantStore.open(str(tmp_path / "t"))
+        reopened.close()
         assert snapshot["seq"] == 1
         assert snapshot["premise_hash"] == "hash1"
         assert [record["seq"] for record in tail] == [2]
@@ -177,7 +187,8 @@ class TestTenantStore:
         snapshot["seq"] = 1
         snap_path.write_text(json.dumps(snapshot))
 
-        _, _, tail = TenantStore.open(str(tmp_path / "t"))
+        reopened, _, tail = TenantStore.open(str(tmp_path / "t"))
+        reopened.close()
         assert tail == []
 
     def test_torn_final_line_is_discarded(self, tmp_path):
@@ -518,10 +529,9 @@ class TestStateDir:
         state = StateDir(str(tmp_path))
         for name in ("zeta", "alpha"):
             state.create_tenant(snapshot_of("hash0", name=name)).close()
-        names = [entry[0] for entry in state.recover()]
-        assert names == ["alpha", "zeta"]
+        assert recovered_names(state) == ["alpha", "zeta"]
         state.drop_tenant("zeta")
-        assert [entry[0] for entry in state.recover()] == ["alpha"]
+        assert recovered_names(state) == ["alpha"]
         assert state.stats()["tenants"] == 1
 
     def test_snapshot_every_validated(self, tmp_path):
