@@ -3,15 +3,19 @@
 These are analysis conveniences on top of the core engines — useful
 for inspecting why an implication holds (paths), why a decision blew
 up (orbit sizes), or where the finite-implication cycle rule fires
-(strongly connected components).
+(strongly connected components).  networkx (the ``analysis`` extra) is
+imported only by the functions that build its graphs:
+:func:`summarize_ind_set` needs only the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from graphlib import CycleError, TopologicalSorter
+from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 from repro.core.ind_decision import Expression, successors
 from repro.deps.base import Dependency
@@ -31,6 +35,8 @@ def expression_graph(
     carries the premise and IND2 selection that justifies it.
     Reachability in this graph **is** IND implication (Corollary 3.2).
     """
+    import networkx as nx
+
     premise_list = list(premises)
     graph = nx.DiGraph()
     graph.add_node(start)
@@ -62,6 +68,8 @@ def ind_flow_graph(premises: Iterable[IND]) -> nx.MultiDiGraph:
     Cycles here are where Rule (*) saturation, chase divergence, and
     the finite-implication phenomena live.
     """
+    import networkx as nx
+
     graph = nx.MultiDiGraph()
     for premise in premises:
         graph.add_edge(
@@ -80,6 +88,8 @@ def cardinality_digraph(dependencies: Iterable[Dependency]) -> nx.DiGraph:
     contribute source -> target; FDs ``R: A -> B`` contribute
     ``(R,B) -> (R,A)``.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for dep in dependencies:
         if isinstance(dep, IND) and dep.is_unary():
@@ -101,6 +111,8 @@ def cycle_rule_components(dependencies: Iterable[Dependency]) -> list[set]:
     """The nontrivial SCCs of the cardinality digraph — exactly the
     places where the finite-implication cycle rule reverses
     dependencies (Theorem 4.4 / Section 6)."""
+    import networkx as nx
+
     graph = cardinality_digraph(dependencies)
     return [
         set(component)
@@ -132,10 +144,33 @@ class IndSetSummary:
         )
 
 
+def _flow_shape(premises: list[IND]) -> tuple[bool, int]:
+    """Whether :func:`ind_flow_graph` of ``premises`` has a cycle, and
+    how many weakly connected components it has."""
+    successors: dict[str, set[str]] = {}
+    parent: dict[str, str] = {}  # a union-find forest over relations
+
+    def root(relation: str) -> str:
+        while parent.setdefault(relation, relation) != relation:
+            relation = parent[relation]
+        return relation
+
+    for premise in premises:
+        lhs, rhs = premise.lhs_relation, premise.rhs_relation
+        successors.setdefault(lhs, set()).add(rhs)
+        parent[root(lhs)] = root(rhs)
+    components = sum(1 for relation in parent if parent[relation] == relation)
+    try:
+        TopologicalSorter(successors).prepare()
+    except CycleError:
+        return True, components
+    return False, components
+
+
 def summarize_ind_set(premises: Iterable[IND]) -> IndSetSummary:
     """Quick structural profile of an IND set."""
     premise_list = list(premises)
-    flow = ind_flow_graph(premise_list)
+    flow_cyclic, flow_components = _flow_shape(premise_list)
     relations = set()
     for premise in premise_list:
         relations.update(premise.relations())
@@ -145,8 +180,6 @@ def summarize_ind_set(premises: Iterable[IND]) -> IndSetSummary:
         unary=sum(1 for p in premise_list if p.is_unary()),
         typed=sum(1 for p in premise_list if p.is_typed()),
         max_arity=max((p.arity for p in premise_list), default=0),
-        flow_cyclic=not nx.is_directed_acyclic_graph(flow) if flow else False,
-        flow_components=(
-            nx.number_weakly_connected_components(flow) if flow else 0
-        ),
+        flow_cyclic=flow_cyclic,
+        flow_components=flow_components,
     )

@@ -36,7 +36,7 @@ import time
 from typing import Sequence
 
 from repro.engine.answer import Semantics
-from repro.engine.session import ReasoningSession
+from repro.engine.session import ReasoningSession, flips_to_json
 from repro.exceptions import ReproError
 from repro.io import bundle_from_json, load_session, patch_from_json
 
@@ -195,19 +195,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     )
     flipped = sum(flip.flipped for flip in flips)
     if args.json:
-        print(json.dumps({
-            "flips": [
-                {
-                    "target": str(flip.target),
-                    "before": flip.before.to_json(),
-                    "after": flip.after.to_json(),
-                    "flipped": flip.flipped,
-                }
-                for flip in flips
-            ],
-            "flipped": flipped,
-            "total": len(flips),
-        }, indent=2))
+        print(json.dumps(flips_to_json(flips), indent=2))
         return 1 if flipped else 0
     width = max(len(str(flip.target)) for flip in flips)
     for flip in flips:

@@ -126,7 +126,27 @@ class VerdictFlip:
 
     @property
     def flipped(self) -> bool:
-        return self.before.verdict != self.after.verdict
+        """Two known verdicts that differ: an unknown never flips."""
+        before, after = self.before.verdict, self.after.verdict
+        return None not in (before, after) and before != after
+
+
+def flips_to_json(flips: list[VerdictFlip]) -> dict[str, Any]:
+    """A :meth:`ReasoningSession.whatif` diff as JSON: the CLI
+    ``--json`` output and the server's ``whatif`` answer."""
+    return {
+        "flips": [
+            {
+                "target": str(flip.target),
+                "before": flip.before.to_json(),
+                "after": flip.after.to_json(),
+                "flipped": flip.flipped,
+            }
+            for flip in flips
+        ],
+        "flipped": sum(flip.flipped for flip in flips),
+        "total": len(flips),
+    }
 
 
 class ReasoningSession:
@@ -352,6 +372,9 @@ class ReasoningSession:
         add: Targets = (),
         retract: Targets = (),
         semantics: Union[Semantics, str] = Semantics.UNRESTRICTED,
+        *,
+        deadline: DeadlineLike = None,
+        degrade: bool = False,
     ) -> list[VerdictFlip]:
         """Which targets change verdict under a hypothetical change?
 
@@ -359,20 +382,22 @@ class ReasoningSession:
         child, applies ``retract`` then ``add`` to the child, and
         answers again — ``repro diff`` style.  The parent session is
         untouched (and keeps any exploration warmed along the way).
+        Each target and premise is validated once.  ``deadline`` and
+        ``degrade`` are :meth:`implies_all`'s, with one clock for both
+        passes.
         """
-        coerced = [self._coerce(target) for target in targets]
-        before = self.implies_all(coerced, semantics)
+        deadline = coerce_deadline(deadline)
+        before = self.implies_all(targets, semantics, deadline=deadline,
+                                  degrade=degrade)
         child = self.fork()
-        retractions = child._coerce_many(retract)
-        if retractions:
-            child.retract(retractions)
-        additions = child._coerce_many(add)
-        if additions:
-            child.add(additions)
-        after = child.implies_all(coerced, semantics)
+        child.retract(retract)
+        child.add(add)
         return [
-            VerdictFlip(target=target, before=b, after=a)
-            for target, b, a in zip(coerced, before, after)
+            VerdictFlip(b.target, b, child.implies(
+                b.target, semantics, _coerced=True, deadline=deadline,
+                degrade=degrade,
+            ))
+            for b in before
         ]
 
     def _decide_ind(self, target: IND, tick=None) -> tuple[DecisionResult, bool]:

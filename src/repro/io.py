@@ -40,7 +40,7 @@ then additions, as one version bump each).
 from __future__ import annotations
 
 import json
-from typing import Any, TextIO
+from typing import Any, Iterable, TextIO
 
 from repro.exceptions import ParseError
 from repro.deps.base import Dependency
@@ -67,6 +67,21 @@ def database_to_dict(db: Database) -> dict[str, list[list[Any]]]:
     }
 
 
+def bundle_to_payload(
+    schema: DatabaseSchema,
+    dependencies: Iterable[Dependency] | None = None,
+    db: Database | None = None,
+) -> dict[str, Any]:
+    """A (schema, dependencies, database) bundle as the JSON-ready dict
+    :func:`bundle_from_payload` reads back."""
+    payload: dict[str, Any] = {"schema": schema_to_dict(schema)}
+    if dependencies is not None:
+        payload["dependencies"] = [str(dep) for dep in dependencies]
+    if db is not None:
+        payload["database"] = database_to_dict(db)
+    return payload
+
+
 def bundle_to_json(
     schema: DatabaseSchema,
     dependencies: list[Dependency] | None = None,
@@ -74,12 +89,10 @@ def bundle_to_json(
     indent: int = 2,
 ) -> str:
     """Serialize a (schema, dependencies, database) bundle."""
-    payload: dict[str, Any] = {"schema": schema_to_dict(schema)}
-    if dependencies is not None:
-        payload["dependencies"] = [str(dep) for dep in dependencies]
-    if db is not None:
-        payload["database"] = database_to_dict(db)
-    return json.dumps(payload, indent=indent, default=str)
+    return json.dumps(
+        bundle_to_payload(schema, dependencies, db), indent=indent,
+        default=str,
+    )
 
 
 def _schema_from_payload(payload: Any) -> DatabaseSchema:
@@ -111,7 +124,8 @@ def _database_from_payload(
     """Validate and build the optional database section.
 
     Row problems are reported with relation/row context instead of the
-    bare arity error the model layer would raise.
+    bare arity or hashing error the model layer would raise: a row has
+    the relation's arity, and each cell is a JSON scalar.
     """
     if not isinstance(payload, dict):
         raise ParseError(
@@ -144,6 +158,12 @@ def _database_from_payload(
                     f"value(s) but {schema.relation(name)} has arity "
                     f"{arity}: {row!r}"
                 )
+            for value in row:
+                if not (value is None or isinstance(value, (str, int, float))):
+                    raise ParseError(
+                        f"row {position} of relation {name!r} holds "
+                        f"{value!r}: a database cell must be a JSON scalar"
+                    )
             checked.append(tuple(row))
         contents[name] = checked
     return build_database(schema, contents)

@@ -108,7 +108,7 @@ class Request:
             return {}
         try:
             payload = json.loads(self.body)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ServeError(400, f"request body is not valid JSON: {exc}")
         if not isinstance(payload, dict):
             raise ServeError(
@@ -230,6 +230,13 @@ def error_payload(
     if extra:
         payload.update(extra)
     return payload
+
+
+def is_count(value: Any) -> bool:
+    """Whether a decoded JSON value is an integer >= 0 (``true`` is
+    not): what every seq, term and lag on the wire must be."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:

@@ -27,18 +27,14 @@ import re
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.deps.base import Dependency
 from repro.engine.answer import Semantics
+from repro.engine.deadline import Deadline
 from repro.engine.index import premise_hash_of
-from repro.engine.session import ReasoningSession
-from repro.io import (
-    apply_patch,
-    bundle_from_payload,
-    database_to_dict,
-    schema_to_dict,
-)
+from repro.engine.session import ReasoningSession, flips_to_json
+from repro.io import apply_patch, bundle_from_payload, bundle_to_payload
 from repro.model.database import Database
 from repro.model.schema import DatabaseSchema
 from repro.obs.metrics import MetricsRegistry
@@ -50,6 +46,7 @@ from repro.serve.wal import (
     StateDir,
     TenantLog,
     WalCorruption,
+    check_records,
 )
 
 DEFAULT_LRU_CAPACITY = 32
@@ -145,18 +142,14 @@ class TenantState:
         """The snapshot payload: one shape for checkpoints, new stores
         and follower bootstraps.  Its bundle is the canonical
         :mod:`repro.io` bundle that recovery reloads."""
-        bundle: dict[str, Any] = {
-            "schema": schema_to_dict(self.schema),
-            "dependencies": [str(dep) for dep in self.dependencies],
-        }
-        if self.db is not None:
-            bundle["database"] = database_to_dict(self.db)
         return {
             "name": self.name,
             "seq": self.seq,
             "term": self.term,
             "premise_hash": premise_hash_of(self.schema, self.dependencies),
-            "bundle": bundle,
+            "bundle": bundle_to_payload(
+                self.schema, self.dependencies, self.db
+            ),
             "options": self.options,
             "applied_keys": self.applied,
         }
@@ -328,7 +321,7 @@ class Tenant:
         self._checkpoint_if_due(trace)
         return result
 
-    def apply_replicated(self, records: Iterable[Any]) -> int:
+    def apply_replicated(self, records: Any) -> int:
         """Apply replicated log records in order; returns how many.
 
         Each record flows through the *same* mutation path a local
@@ -339,13 +332,13 @@ class Tenant:
         record's idempotency key and recorded result are logged too,
         which is what makes a keyed retry *after failover* replay
         instead of double-applying.  Records at or below the log's seq
-        are duplicate deliveries and are skipped; a gap is a 409.
+        are duplicate deliveries and are skipped; a gap is a 409.  A
+        malformed record (see :func:`~repro.serve.wal.record_problem`)
+        is a 400 before any record is applied.
         """
         applied = 0
-        for record in records:
-            if not isinstance(record, dict):
-                raise ServeError(400, "each record must be a JSON object")
-            seq = int(record.get("seq", 0))
+        for record in check_records(records):
+            seq = record["seq"]
             if seq <= self.store.seq:
                 continue
             if seq != self.store.seq + 1:
@@ -355,7 +348,7 @@ class Tenant:
                     f"does not follow applied seq {self.store.seq}",
                 )
             self.coalescer.barrier()
-            apply_patch(self.session, record.get("patch") or {})
+            apply_patch(self.session, record["patch"])
             self.store.append_replicated(record)
             self._checkpoint_if_due()
             applied += 1
@@ -400,54 +393,33 @@ class Tenant:
 
     async def whatif_async(
         self,
-        targets: Iterable[str],
-        add: Iterable[str] = (),
-        retract: Iterable[str] = (),
+        targets: Sequence[str],
+        add: Sequence[str] = (),
+        retract: Sequence[str] = (),
         semantics: Semantics = Semantics.UNRESTRICTED,
+        deadline: Optional[Deadline] = None,
     ) -> dict[str, Any]:
-        """``whatif`` with the variant's re-query off the event loop.
+        """``whatif`` run whole on a fork, off the event loop.
 
-        The before-answers come from the live session (cheap — its
-        caches are warm), then the fork is mutated and its after-pass —
-        the part that may recompile the child's reach index — runs in
-        the default executor, so the parent tenant keeps serving
-        coalesced reads while the speculation computes.  The fork is
+        The fork is taken on the loop, after the coalescing barrier;
+        both passes and the fork's own mutation then run in the default
+        executor, so the tenant keeps serving while the speculation
+        computes, and its counters and caches do not move.  The fork is
         copy-on-write and thread-confined after creation; the parent's
-        compiled containers are never mutated by the child.
+        compiled containers are never mutated by it.  A ``deadline`` or
+        budget that runs out degrades the answers it cuts to unknown.
         """
-        self.coalescer.barrier()
-        session = self.session
-        coerced = [session._coerce(target) for target in targets]
-        if not coerced:
+        if not targets:
             raise ServeError(400, "whatif needs at least one target")
-        additions = session._coerce_many(list(add))
-        retractions = session._coerce_many(list(retract))
-        if not (additions or retractions):
+        if not (add or retract):
             raise ServeError(400, "whatif needs 'add' or 'retract' entries")
-        before = session.implies_all(coerced, semantics)
-        child = session.fork()
-        if retractions:
-            child.retract(retractions)
-        if additions:
-            child.add(additions)
-        loop = asyncio.get_running_loop()
-        after = await loop.run_in_executor(
-            None, lambda: child.implies_all(coerced, semantics)
+        self.coalescer.barrier()
+        fork = self.session.fork()
+        flips = await asyncio.get_running_loop().run_in_executor(
+            None, lambda: fork.whatif(targets, add, retract, semantics,
+                                      deadline=deadline, degrade=True),
         )
-        flips = [
-            {
-                "target": str(target),
-                "before": b.to_json(),
-                "after": a.to_json(),
-                "flipped": b.verdict != a.verdict,
-            }
-            for target, b, a in zip(coerced, before, after)
-        ]
-        return {
-            "flips": flips,
-            "flipped": sum(flip["flipped"] for flip in flips),
-            "total": len(flips),
-        }
+        return flips_to_json(flips)
 
     def stats(self) -> dict[str, Any]:
         payload = dict(self.session.stats())

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from typing import Any, Optional
 
@@ -55,7 +56,10 @@ from repro.serve.faults import (
     PARTITION_REPLICATION,
     REPLICATION_LAG,
 )
-from repro.serve.protocol import ServeError, parse_endpoint
+from repro.serve.protocol import ServeError, is_count, parse_endpoint
+from repro.serve.wal import check_records
+
+log = logging.getLogger(__name__)
 
 DEFAULT_HEARTBEAT = 1.0
 """Seconds between a follower's heartbeats to its primary."""
@@ -136,7 +140,7 @@ async def replication_request(
 
     try:
         return await asyncio.wait_for(round_trip(), timeout)
-    except (EOFError, ValueError) as exc:
+    except (EOFError, ValueError, RecursionError) as exc:
         # A cut-short body, a bad Content-Length or a non-JSON body.
         raise ConnectionError(f"bad reply from {endpoint}: {exc!r}") from exc
 
@@ -251,26 +255,32 @@ class PrimaryReplicator:
             self._record_ship(trace, handle, ship_start, ok=False)
             return
         self._record_ship(trace, handle, ship_start, ok=(status == 200))
-        if status == 200:
+        acked, term = payload.get("seq", record["seq"]), payload.get("term")
+        if status == 200 and is_count(acked):
             handle.state = "healthy"
             handle.last_error = None
-            handle.acked_seq[tenant_name] = int(
-                payload.get("seq", record.get("seq", 0))
-            )
+            handle.acked_seq[tenant_name] = acked
             handle.forwarded += 1
             self.forwarded_records += 1
             return
-        if payload.get("fenced"):
+        if status != 200 and payload.get("fenced") and is_count(term):
             # The follower has seen a higher term: someone promoted past
             # us.  Step down — this node must stop acknowledging
             # mutations it can no longer claim to lead.
             self.fenced_by = payload
+            leader = payload.get("primary")
             self.server.step_down(
-                int(payload.get("term", 0)), payload.get("primary")
+                term, leader if isinstance(leader, str) else None
             )
             return
-        handle.state = "syncing"
-        handle.last_error = payload.get("error") or f"status {status}"
+        if status == 200 or payload.get("fenced"):
+            # A reply that does not decode says nothing about what the
+            # follower applied: treat it as unreachable.
+            handle.state = "lagging"
+            handle.last_error = f"undecodable reply {status}: {payload!r}"
+        else:
+            handle.state = "syncing"
+            handle.last_error = payload.get("error") or f"status {status}"
         self.forward_failures += 1
 
     def _record_ship(
@@ -384,17 +394,18 @@ class FollowerReplicator:
         if status != 200:
             self._miss(payload.get("error") or f"heartbeat status {status}")
             return
+        term, seqs = payload.get("term", 0), payload.get("tenants") or {}
+        if not (is_count(term) and isinstance(seqs, dict)
+                and all(map(is_count, seqs.values()))):
+            self._miss(f"undecodable heartbeat: {payload!r}")
+            return
         self.missed = 0
         self.heartbeats_ok += 1
         self.last_error = None
-        term = int(payload.get("term", 0))
         if term > self.server.registry.term:
             self.server.registry.set_term(term)
         self.known_term = max(self.known_term, self.server.registry.term)
-        self.primary_seqs = {
-            str(name): int(seq)
-            for name, seq in (payload.get("tenants") or {}).items()
-        }
+        self.primary_seqs = seqs
         if not self.registered:
             await self._register()
         await self._catch_up()
@@ -454,52 +465,57 @@ class FollowerReplicator:
             self.last_error = payload.get("error") or f"register {status}"
 
     async def _catch_up(self) -> None:
-        """Repair every tenant that trails the primary's advertised seq."""
-        registry = self.server.registry
+        """Repair every tenant that trails the primary's advertised seq.
+
+        A pull or bootstrap that fails, whatever the primary sent, is
+        noted in ``last_error`` and retried by the next heartbeat: no
+        reply ends the replication task.
+        """
         for name, primary_seq in self.primary_seqs.items():
-            tenant = registry.tenants.get(name)
-            if tenant is None:
-                await self._bootstrap(name)
-                continue
-            if tenant.replicated_seq >= primary_seq:
-                continue
             try:
-                status, payload = await replication_request(
-                    self.primary,
-                    "POST",
-                    f"/replication/wal/{name}",
-                    {"after": tenant.replicated_seq},
-                    timeout=BOOTSTRAP_TIMEOUT,
-                )
+                await self._repair(name, primary_seq)
             except (OSError, asyncio.TimeoutError) as exc:
-                self.last_error = f"wal pull: {type(exc).__name__}: {exc}"
+                self.last_error = f"{name}: {type(exc).__name__}: {exc}"
                 return
-            if status == 409 and payload.get("resync"):
-                # The tail we need was truncated away by a snapshot (or
-                # the primary is non-durable and keeps no tail): start
-                # over from a fresh snapshot.
-                await self._bootstrap(name)
-                continue
-            if status != 200:
-                # A refused pull (a partition, say) is retried by the
-                # next heartbeat; only a resync calls for the snapshot.
-                self.last_error = payload.get("error") or f"wal pull {status}"
-                continue
+            except Exception as exc:  # noqa: BLE001 - no reply ends the task
+                log.exception("catching up tenant %r failed", name)
+                self.last_error = f"{name}: {type(exc).__name__}: {exc}"
+
+    async def _repair(self, name: str, primary_seq: int) -> None:
+        tenant = self.server.registry.tenants.get(name)
+        if tenant is None:
+            await self._bootstrap(name)
+            return
+        if tenant.replicated_seq >= primary_seq:
+            return
+        status, payload = await replication_request(
+            self.primary,
+            "POST",
+            f"/replication/wal/{name}",
+            {"after": tenant.replicated_seq},
+            timeout=BOOTSTRAP_TIMEOUT,
+        )
+        if status == 409 and payload.get("resync"):
+            # The tail we need was truncated away by a snapshot (or
+            # the primary is non-durable and keeps no tail): start
+            # over from a fresh snapshot.
+            await self._bootstrap(name)
+        elif status != 200:
+            # A refused pull (a partition, say) is retried by the
+            # next heartbeat; only a resync calls for the snapshot.
+            self.last_error = payload.get("error") or f"wal pull {status}"
+        else:
             self.pulled_records += tenant.apply_replicated(
-                payload.get("records") or []
+                payload.get("records")
             )
 
     async def _bootstrap(self, name: str) -> None:
-        try:
-            status, payload = await replication_request(
-                self.primary,
-                "GET",
-                f"/replication/snapshot/{name}",
-                timeout=BOOTSTRAP_TIMEOUT,
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            self.last_error = f"bootstrap: {type(exc).__name__}: {exc}"
-            return
+        status, payload = await replication_request(
+            self.primary,
+            "GET",
+            f"/replication/snapshot/{name}",
+            timeout=BOOTSTRAP_TIMEOUT,
+        )
         if status != 200:
             self.last_error = payload.get("error") or f"bootstrap {status}"
             return
@@ -551,9 +567,19 @@ def apply_envelope(server: Any, body: dict[str, Any]) -> dict[str, Any]:
       follower would.
     * role not follower at an equal term: also fenced (two nodes
       claiming the same term is exactly what the fence exists to stop).
+
+    The envelope is checked whole first: a malformed ``term``,
+    ``tenant`` or record is a 400, and nothing in it is applied.
     """
     registry = server.registry
-    term = int(body.get("term", 0))
+    term, name = body.get("term", 0), body.get("tenant")
+    if not is_count(term):
+        raise ServeError(
+            400, f"'term' must be a non-negative integer, got {term!r}"
+        )
+    if not isinstance(name, str) or not name:
+        raise ServeError(400, "'tenant' must be a non-empty string")
+    records = check_records(body.get("records"))
     sender = body.get("primary")
 
     def fenced() -> ServeError:
@@ -577,9 +603,6 @@ def apply_envelope(server: Any, body: dict[str, Any]) -> dict[str, Any]:
             raise fenced()
     if term > registry.term:
         registry.set_term(term)
-    name = body.get("tenant")
-    if not isinstance(name, str) or not name:
-        raise ServeError(400, "'tenant' must be a non-empty string")
     tenant = registry.tenants.get(name)
     if tenant is None:
         raise ServeError(
@@ -587,9 +610,6 @@ def apply_envelope(server: Any, body: dict[str, Any]) -> dict[str, Any]:
             f"tenant {name!r} is not replicated here yet",
             extra={"resync": True},
         )
-    records = body.get("records")
-    if not isinstance(records, list):
-        raise ServeError(400, "'records' must be a list of WAL records")
     applied = tenant.apply_replicated(records)
     return {
         "ok": True,

@@ -73,6 +73,7 @@ from repro.serve.protocol import (
     Request,
     ServeError,
     error_payload,
+    is_count,
     json_response,
     parse_endpoint,
     read_request,
@@ -596,8 +597,7 @@ class ReasoningServer:
             case ["POST", "replication", "wal", name]:
                 tenant = self.registry.get(name)
                 after = request.json().get("after", 0)
-                if isinstance(after, bool) or not isinstance(after, int) \
-                        or after < 0:
+                if not is_count(after):
                     raise ServeError(
                         400, f"'after' must be a non-negative integer, got "
                              f"{after!r}"
@@ -652,7 +652,7 @@ class ReasoningServer:
             raw = self.default_max_lag
         if raw is None:
             return
-        if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+        if not is_count(raw):
             raise ServeError(
                 400, f"'max_lag' must be a non-negative integer, got {raw!r}"
             )
@@ -738,12 +738,18 @@ class ReasoningServer:
             return result
         if op == "whatif":
             with trace.span("whatif"):
-                return await tenant.whatif_async(
+                result = await tenant.whatif_async(
                     _string_list(body, "targets"),
                     add=_string_list(body, "add"),
                     retract=_string_list(body, "retract"),
                     semantics=_semantics_of(body),
+                    deadline=self._deadline_of(body),
                 )
+            self.degraded_answers.inc(sum(
+                flip[side]["degraded"]
+                for flip in result["flips"] for side in ("before", "after")
+            ))
+            return result
         tenant.coalescer.barrier()  # op == "check"
         if tenant.session.db is None:
             raise ServeError(

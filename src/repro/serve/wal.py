@@ -91,7 +91,7 @@ from typing import Any, Callable, Optional
 from repro.obs.tracing import Trace
 from repro.serve.faults import CRASH_AFTER_WAL_APPEND, CRASH_BEFORE_WAL_APPEND
 from repro.serve.faults import CRASH_IN_SNAPSHOT, NO_FAULTS, FaultInjector
-from repro.serve.protocol import ServeError
+from repro.serve.protocol import ServeError, is_count
 
 SNAPSHOT_FILE = "snapshot.json"
 WAL_FILE = "wal.jsonl"
@@ -118,6 +118,43 @@ class WalCorruption(ServeError):
 
     def __init__(self, message: str):
         super().__init__(500, message)
+
+
+def record_problem(record: Any) -> Optional[str]:
+    """Why ``record`` cannot be a log record, or ``None`` if it can.
+
+    A record is an object whose ``seq`` is an integer >= 1, whose
+    ``term``, when present, is an integer >= 0, whose ``key`` and
+    ``result``, when present, are a string and an object, and whose
+    ``patch`` is an object.  :meth:`TenantLog.append` writes nothing
+    else; a replicated or recovered record is checked against it.
+    """
+    if not isinstance(record, dict):
+        return f"a record must be a JSON object, got {record!r}"
+    seq, term = record.get("seq"), record.get("term", 0)
+    if not is_count(seq) or seq < 1:
+        return f"record 'seq' must be an integer >= 1, got {seq!r}"
+    if not is_count(term):
+        return f"record 'term' must be an integer >= 0, got {term!r}"
+    if not isinstance(record.get("key", ""), str):
+        return f"record 'key' must be a string, got {record['key']!r}"
+    if not isinstance(record.get("result", {}), dict):
+        return f"record 'result' must be an object, got {record['result']!r}"
+    if not isinstance(record.get("patch"), dict):
+        return f"record 'patch' must be an object, got {record.get('patch')!r}"
+    return None
+
+
+def check_records(records: Any) -> list[dict[str, Any]]:
+    """``records`` if it is a list of well-formed records (see
+    :func:`record_problem`); otherwise a 400 naming the first fault."""
+    if not isinstance(records, list):
+        raise ServeError(400, "'records' must be a list of WAL records")
+    for record in records:
+        problem = record_problem(record)
+        if problem is not None:
+            raise ServeError(400, problem)
+    return records
 
 
 class TenantLog:
@@ -202,9 +239,10 @@ class TenantLog:
         recorded result — so a promoted follower's log is byte-for-byte
         continuable from the primary's history.  Records must arrive in
         order; a gap is the caller's job to detect and resolve by
-        resync *before* appending.
+        resync *before* appending, and so is checking the record's
+        fields (:func:`check_records`).
         """
-        seq = int(record["seq"])
+        seq = record["seq"]
         if seq <= self.seq:
             raise WalCorruption(
                 f"replicated record seq {seq} does not advance the log "
@@ -220,8 +258,8 @@ class TenantLog:
 
     def _advance(self, record: dict[str, Any]) -> None:
         """Make ``record`` the newest: its seq, term and key."""
-        self.seq = int(record["seq"])
-        self.term = max(self.term, int(record.get("term", 0)))
+        self.seq = record["seq"]
+        self.term = max(self.term, record.get("term", 0))
         key = record.get("key")
         if key:
             self._remember(key, record.get("result") or {})
@@ -576,7 +614,8 @@ def _scan(
     not promote the tear to corruption.  A torn or unparsable line
     followed by *more records* is real corruption and raises, and so
     is any torn line in a ``closed`` segment: it was fsync'd whole
-    before its roll.
+    before its roll.  So is a whole record whose fields
+    :func:`record_problem` refuses, wherever it sits.
     """
     records: list[dict[str, Any]] = []
     try:
@@ -603,6 +642,11 @@ def _scan(
             except ValueError as exc:
                 torn = (number, str(exc))
                 continue
+            problem = record_problem(record)
+            if problem is not None:
+                raise WalCorruption(
+                    f"corrupt WAL record at {path}:{number}: {problem}"
+                )
             good_end = offset
             if record["seq"] > after:
                 records.append(record)

@@ -1,6 +1,8 @@
 """Graph analysis of dependency sets."""
 
 import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.ind_graph import (
     cardinality_digraph,
@@ -89,3 +91,17 @@ class TestSummary:
         summary = summarize_ind_set([])
         assert summary.ind_count == 0
         assert not summary.flow_cyclic
+
+    @settings(max_examples=150, deadline=None)
+    @given(edges=st.lists(st.tuples(*[st.sampled_from("RSTUVW")] * 2),
+                          max_size=10))
+    def test_flow_facts_match_networkx(self, edges):
+        """The summary's flow-graph facts, computed without networkx,
+        are networkx's."""
+        premises = [IND(lhs, ("A",), rhs, ("A",)) for lhs, rhs in edges]
+        flow = ind_flow_graph(premises)
+        summary = summarize_ind_set(premises)
+        assert summary.flow_cyclic == (not nx.is_directed_acyclic_graph(flow))
+        assert summary.flow_components == (
+            nx.number_weakly_connected_components(flow)
+        )

@@ -1,9 +1,13 @@
 """The premise lifecycle: add/retract/fork/version + scoped invalidation."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.deps.fd import FD
 from repro.deps.ind import IND
+from repro.deps.parser import parse_dependencies
 from repro.engine import MutationDelta, PremiseIndex, ReasoningSession
 from repro.exceptions import DependencyError, UnsupportedDependencyError
 from repro.model.schema import DatabaseSchema
@@ -282,6 +286,65 @@ class TestWhatIf:
         assert flips[0].before.version == 0
         assert flips[0].after.version == 1
 
+    def test_an_unknown_never_flips(self):
+        """A chase that blows its budget degrades to unknown, and a flip
+        needs two known verdicts."""
+        schema = DatabaseSchema.from_dict(
+            {"R": ("A", "B"), "T": ("X", "Y"), "U": ("X", "Y")}
+        )
+        diverging = ReasoningSession(schema, parse_dependencies(
+            "R[B] <= R[A]\nR: A -> B\nT[X,Y] <= U[X,Y]"
+        ), max_rounds=10)
+        [flip] = diverging.whatif(["R: B -> A"], add="R: B -> A",
+                                  degrade=True)
+        assert (flip.before.verdict, flip.after.verdict) == (None, True)
+        assert flip.before.stats["reason"] == "chase-budget"
+        assert flip.flipped is False
+
+    def test_forks_share_the_compiled_chase_across_threads(self, schema):
+        """A served whatif chases on a fork in a worker thread while the
+        tenant chases on the event loop, through one compiled engine."""
+        premises = parse_dependencies(
+            "MGR[NAME,DEPT] <= EMP[NAME,DEPT]\nEMP: NAME -> DEPT\n"
+            "EMP[NAME] <= PERSON[NAME]\nISO[X,Y] <= ISO2[Y,X]\n"
+            "ISO2: X -> Y"
+        )
+        targets = ["MGR: NAME -> DEPT", "MGR[NAME] <= PERSON[NAME]",
+                   "PERSON[NAME] <= MGR[NAME]", "ISO: Y -> X",
+                   "ISO[Y] <= ISO2[X]", "EMP: DEPT -> NAME"]
+        expected = [(a.verdict, a.stats["rounds"]) for a in
+                    ReasoningSession(schema, premises).implies_all(targets)]
+        parent = ReasoningSession(schema, premises)
+        parent.index.chase_engine()
+        sessions = [parent] + [parent.fork() for _ in range(3)]
+        assert {id(s.index.chase_engine()) for s in sessions} == {
+            id(parent.index.chase_engine())
+        }
+        results, errors = [[] for _ in sessions], []
+
+        def ask(session, out):
+            try:
+                for _ in range(20):
+                    out.append([(a.verdict, a.stats["rounds"])
+                                for a in session.implies_all(targets)])
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=pair)
+                       for pair in zip(sessions, results)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert results == [[expected] * 20] * len(sessions)
+
 
 class TestJsonViews:
     def test_answer_to_json_round_trips_through_json(self, session):
@@ -339,3 +402,21 @@ class TestCoerceOnce:
             ["MGR[NAME] <= EMP[NAME]", "MGR[DEPT] <= EMP[DEPT]"]
         )
         assert calls["n"] == 2
+
+    def test_whatif_validates_each_dependency_once(
+        self, session, monkeypatch
+    ):
+        calls = {"n": 0}
+        original = IND.validate
+
+        def counting(self, schema):
+            calls["n"] += 1
+            return original(self, schema)
+
+        monkeypatch.setattr(IND, "validate", counting)
+        flips = session.whatif(
+            ["MGR[NAME] <= EMP[NAME]", "MGR[DEPT] <= EMP[DEPT]"],
+            retract=["MGR[NAME,DEPT] <= EMP[NAME,DEPT]"],
+        )
+        assert calls["n"] == 3
+        assert [flip.flipped for flip in flips] == [True, True]

@@ -126,6 +126,27 @@ class TestTenantLifecycle:
         assert result["flips"][0]["after"]["verdict"] is False
         assert tenant.session.version == version  # fork, not mutation
 
+    def test_whatif_validates_each_dependency_once(
+        self, schema, premises, monkeypatch
+    ):
+        tenant = TenantRegistry().create("app", schema, premises)
+        calls = {"n": 0}
+        original = IND.validate
+
+        def counting(self, schema):
+            calls["n"] += 1
+            return original(self, schema)
+
+        monkeypatch.setattr(IND, "validate", counting)
+        result = asyncio.run(tenant.whatif_async(
+            ["MGR[NAME] <= PERSON[NAME]", "MGR[DEPT] <= EMP[DEPT]"],
+            retract=["EMP[NAME] <= PERSON[NAME]"],
+        ))
+        assert calls["n"] == 3
+        assert (result["flipped"], result["total"]) == (1, 2)
+        # The live tenant neither counted nor warmed the speculation.
+        assert tenant.session.queries == 0
+
     def test_stats_carry_identity_and_coalescer(self, schema, premises):
         tenant = TenantRegistry().create("app", schema, premises)
         stats = tenant.stats()

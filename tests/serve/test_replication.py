@@ -9,6 +9,9 @@ and ``test_replication_chaos.py`` covers that with kill -9.
 """
 
 import asyncio
+import json
+import os
+import shutil
 import threading
 import time
 
@@ -32,7 +35,7 @@ from repro.serve.faults import (
     REPLICATION_LAG,
 )
 from repro.serve.replication import replication_request
-from repro.serve.wal import StateDir
+from repro.serve.wal import WAL_FILE, StateDir, WalCorruption
 
 BUNDLE = {
     "schema": {"MGR": ["NAME", "DEPT"], "EMP": ["NAME", "DEPT"],
@@ -175,6 +178,8 @@ BAD_REPLIES = {
     "bad-content-length":
         b"HTTP/1.1 200 OK\r\nContent-Length: twelve\r\n\r\n{}",
     "non-json-body": b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+    "deeply-nested-body": b"HTTP/1.1 200 OK\r\nContent-Length: 200000\r\n\r\n"
+    + b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -238,6 +243,157 @@ class TestBadReplies:
                 tenant = primary.server.registry.tenants["app"]
                 control = control_session([EXTRA_DEP])
                 assert tenant.session.premise_hash == control.premise_hash
+
+
+    def test_undecodable_heartbeat_is_a_missed_beat(self, monkeypatch):
+        """A heartbeat reply that does not decode counts as missed, and
+        the follower keeps heartbeating."""
+        beats = []
+
+        async def reply(endpoint, method, path, payload=None, timeout=None):
+            beats.append(path)
+            return 200, {"term": "x", "role": "primary", "tenants": {}}
+
+        monkeypatch.setattr(replication, "replication_request", reply)
+        with BackgroundServer(
+            replica_of="127.0.0.1:1", heartbeat=0.05, failover_after=0
+        ) as follower:
+            wait_until(lambda: len(beats) >= 3, timeout=5,
+                       message="three heartbeats")
+            replicator = follower.server.follower
+            assert replicator.heartbeats_ok == 0
+            assert replicator.heartbeats_missed >= 2
+            assert "undecodable heartbeat" in replicator.last_error
+
+    @pytest.mark.parametrize("seqs, reply, error", [
+        ({"app": 1}, ("/replication/wal/app", {"records": [
+            {"seq": "x", "patch": {"add": [EXTRA_DEP]}}]}), "'seq'"),
+        ({"new": 3}, ("/replication/snapshot/new", None), "WalCorruption"),
+    ], ids=["pulled-record", "bootstrap"])
+    def test_refused_pull_or_bootstrap_sets_last_error(
+        self, monkeypatch, seqs, reply, error
+    ):
+        """What a pull brings back may be refused; that is noted and
+        retried by the next heartbeat, and ends nothing."""
+        primary = TenantRegistry()
+        primary.create_from_bundle("app", BUNDLE)
+        snapshot = primary.replication_snapshot_of("app")
+        follower = ReasoningServer(replica_of="127.0.0.1:1")
+        follower.registry.create_replica("app", snapshot)
+        replicator = follower.follower
+        replicator.primary_seqs = seqs
+        path, payload = reply
+        if payload is None:  # a snapshot whose hash its bundle misses
+            payload = {**snapshot, "name": "new", "premise_hash": "0" * 64}
+
+        async def stub(endpoint, method, path_, payload_=None, timeout=None):
+            return 200, payload
+
+        monkeypatch.setattr(replication, "replication_request", stub)
+        asyncio.run(replicator._catch_up())
+        assert error in replicator.last_error
+        assert sorted(follower.registry.tenants) == ["app"]
+        assert follower.registry.tenants["app"].replicated_seq == 0
+
+    @pytest.mark.parametrize("reply", [
+        (200, {"ok": True, "seq": "x"}),
+        (409, {"fenced": True, "term": "x"}),
+    ], ids=["acked-seq", "fenced-term"])
+    def test_undecodable_forward_reply_marks_the_follower_lagging(
+        self, monkeypatch, make_client, reply
+    ):
+        async def stub(endpoint, method, path, payload=None, timeout=None):
+            return reply
+
+        with BackgroundServer() as primary:
+            client = make_client(port=primary.port)
+            client.create_tenant("app", BUNDLE)
+            client.request(
+                "POST", "/replication/register", {"endpoint": "127.0.0.1:1"}
+            )
+            monkeypatch.setattr(replication, "replication_request", stub)
+            assert client.add("app", [EXTRA_DEP])["seq"] == 1
+            replicator = primary.server.replication
+            [handle] = replicator.followers.values()
+            assert handle.state == "lagging"
+            assert replicator.forward_failures == 1
+            assert primary.server.role == "primary"
+
+
+FOLLOWER_BUNDLE = {
+    "schema": {"R": ["A"], "S": ["A"]},
+    "dependencies": ["R[A] <= S[A]"],
+}
+PATCH = {"add": ["S[A] <= R[A]"]}
+BAD_ENVELOPES = {
+    "term-string": {"term": "x", "records": [{"seq": 1, "patch": PATCH}]},
+    "term-list": {"term": [1], "records": [{"seq": 1, "patch": PATCH}]},
+    "seq-string": {"term": 0, "records": [{"seq": "x", "patch": PATCH}]},
+    "patch-string": {"term": 0, "records": [{"seq": 1, "patch": "nope"}]},
+    "record-term-string": {
+        "term": 0, "records": [{"seq": 1, "term": "zz", "patch": PATCH}],
+    },
+}
+
+
+def durable_registry(root):
+    """A registry over a fresh state dir holding tenant ``t``."""
+    registry = TenantRegistry(state_dir=StateDir(str(root)))
+    registry.create_from_bundle("t", FOLLOWER_BUNDLE)
+    return registry
+
+
+def wal_of(root):
+    return os.path.join(str(root), "tenants", "t", WAL_FILE)
+
+
+class TestMalformedEnvelopes:
+    @pytest.mark.parametrize(
+        "envelope", BAD_ENVELOPES.values(), ids=BAD_ENVELOPES
+    )
+    def test_bad_envelope_is_400_and_changes_nothing(
+        self, tmp_path, make_client, envelope
+    ):
+        state = tmp_path / "follower"
+        registry = durable_registry(state)
+        with BackgroundServer(
+            registry=registry, replica_of="127.0.0.1:1", heartbeat=0.05,
+            failover_after=0,
+        ) as follower:
+            tenant = registry.tenants["t"]
+
+            def observed():
+                with open(wal_of(state), "rb") as fp:
+                    return (tenant.session.premise_hash,
+                            tenant.replicated_seq, fp.read())
+
+            before = observed()
+            with pytest.raises(ServeError) as info:
+                make_client(port=follower.port).request(
+                    "POST", "/replication/apply",
+                    {"primary": "127.0.0.1:1", "tenant": "t", **envelope},
+                )
+            assert info.value.status == 400
+            assert observed() == before
+            # What a crash would leave behind now must boot.
+            shutil.copytree(state, tmp_path / "crashed")
+        TenantRegistry(state_dir=StateDir(str(tmp_path / "crashed"))).close()
+
+    @pytest.mark.parametrize("bad", [
+        {"seq": "x", "term": 0, "patch": PATCH},
+        {"seq": 1, "term": "zz", "patch": PATCH},
+    ], ids=["seq", "term"])
+    @pytest.mark.parametrize("followed", [False, True],
+                             ids=["last", "interior"])
+    def test_whole_wal_line_with_a_bad_field_is_corruption(
+        self, tmp_path, bad, followed
+    ):
+        durable_registry(tmp_path).close()
+        lines = [bad, {"seq": 2, "term": 0, "patch": PATCH}][:1 + followed]
+        with open(wal_of(tmp_path), "a", encoding="utf-8") as fp:
+            fp.writelines(json.dumps(line) + "\n" for line in lines)
+        with pytest.raises(WalCorruption, match=r"wal\.jsonl:1: record"):
+            TenantRegistry(state_dir=StateDir(str(tmp_path)))
 
 
 class TestCatchUp:

@@ -185,6 +185,29 @@ DIVERGING_BUNDLE = {
 DIVERGING_TARGET = "R: B -> A"
 TINY_BUDGET = {"max_rounds": 10, "max_tuples": 30}
 
+# A chase that never converges and whose rounds grow dearer: its work is
+# quadratic in the rounds run (200 rounds take ~0.6 s, 400 ~2 s on a
+# 2-core container), so ``max_rounds`` sets how long a question holds.
+SLOW_BUNDLE = {
+    "schema": {"R": ["A", "B", "C"], "S": ["A", "B", "C"]},
+    "dependencies": ["S[A,C] <= R[C,B]", "S[A,B] <= S[C,A]",
+                     "R[C,B] <= S[A,B]", "S[C,A] <= S[C,B]",
+                     "S: C -> A", "R: B -> C"],
+}
+SLOW_TARGET = "R: C,B -> A"
+
+
+@pytest.fixture
+def slow_tenant(client, request):
+    """A fresh tenant over :data:`SLOW_BUNDLE`; ``max_rounds`` comes
+    from the test's parameter."""
+    name = f"slow{time.monotonic_ns()}"
+    client.create_tenant(
+        name, SLOW_BUNDLE, options={"max_rounds": request.param}
+    )
+    yield name
+    client.drop_tenant(name)
+
 
 class TestDegraded:
     @pytest.fixture
@@ -243,6 +266,27 @@ class TestDegraded:
         assert result["degraded"] == 1
         assert result["total"] == 2
 
+    @pytest.mark.parametrize("slow_tenant", [200], indirect=True)
+    def test_whatif_degrades_at_its_deadline(self, client, slow_tenant):
+        """A whatif keeps the body's deadline across both passes: what
+        the clock cuts answers unknown, and an unknown never flips."""
+        before = client.stats()["degraded_answers"]
+        started = time.perf_counter()
+        result = client.request("POST", f"/tenants/{slow_tenant}/whatif", {
+            "targets": [SLOW_TARGET], "add": ["R[A] <= R[A]"],
+            "deadline_ms": 50,
+        })
+        assert time.perf_counter() - started < 1.0
+        [flip] = result["flips"]
+        for side in ("before", "after"):
+            assert flip[side]["verdict"] == "unknown"
+            assert flip[side]["degraded"] is True
+            assert flip[side]["stats"]["reason"] == "deadline"
+        assert (flip["flipped"], result["flipped"], result["total"]) == (
+            False, 0, 1
+        )
+        assert client.stats()["degraded_answers"] == before + 2
+
     def test_session_degraded_counter_per_tenant(self, client, diverging):
         client.implies(diverging, DIVERGING_TARGET)
         stats = client.tenant_stats(diverging)
@@ -283,6 +327,44 @@ class TestDegraded:
                 "app", "MGR[NAME] <= PERSON[NAME]", deadline_ms=60_000
             )
             assert answer["verdict"] is True
+
+
+class TestWhatifOffTheLoop:
+    @pytest.mark.parametrize("slow_tenant", [400], indirect=True)
+    def test_health_answers_while_a_whatif_chases(
+        self, server, client, slow_tenant
+    ):
+        """The whole whatif runs on a fork in the executor, so a
+        request beside it does not wait for its chase (~2 s on a
+        2-core container); a whatif that chased on the event loop
+        would hold the health check for nearly all of it."""
+        timings = {}
+
+        def speculate():
+            with ServeClient(port=server.port) as own:
+                started = time.perf_counter()
+                try:
+                    timings["result"] = own.whatif(
+                        slow_tenant, [SLOW_TARGET], add=[SLOW_TARGET]
+                    )
+                finally:
+                    timings["whatif"] = time.perf_counter() - started
+
+        thread = threading.Thread(target=speculate)
+        thread.start()
+        try:
+            time.sleep(0.25)  # the whatif is in its chase by now
+            started = time.perf_counter()
+            assert client.health()["ok"] is True
+            timings["health"] = time.perf_counter() - started
+        finally:
+            thread.join(timeout=60)
+        assert timings["health"] < timings["whatif"] / 4
+        [flip] = timings["result"]["flips"]
+        assert flip["before"]["stats"]["reason"] == "chase-budget"
+        assert flip["after"]["verdict"] is True
+        # The live tenant neither counted nor ran the speculation.
+        assert client.tenant_stats(slow_tenant)["queries"] == 0
 
 
 def _recv_response(sock):
@@ -436,6 +518,26 @@ class TestErrors:
         with pytest.raises(ServeError) as excinfo:
             client.create_tenant("broken", {"schema": "oops"})
         assert excinfo.value.status == 400
+
+    def test_non_scalar_database_cell_is_400(self, client):
+        bundle = {"schema": {"R": ["A"]}, "database": {"R": [[{"x": 1}]]}}
+        with pytest.raises(ServeError) as excinfo:
+            client.create_tenant("cells", bundle)
+        assert excinfo.value.status == 400
+        assert "row 0 of relation 'R' holds {'x': 1}" in str(excinfo.value)
+        assert "cells" not in client.tenants()
+
+    def test_deeply_nested_body_is_400(self, server):
+        depth = 100_000
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("POST", "/tenants", body=b"[" * depth + b"]" * depth)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "not valid JSON" in payload["error"]
 
     def test_wrong_method_is_405(self, client):
         with pytest.raises(ServeError) as excinfo:

@@ -1,6 +1,9 @@
 """The command-line interface, driven through its main() entry."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -54,6 +57,18 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "VIOLATED" in out
         assert "Ghost" in out
+
+    def test_non_scalar_cell_is_an_error_not_a_traceback(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(
+            {"schema": {"R": ["A"]}, "database": {"R": [[["nested"]]]}}
+        ))
+        assert main(["check", str(path)]) == 2
+        assert "a database cell must be a JSON scalar" in (
+            capsys.readouterr().err
+        )
 
     def test_bundle_without_database(self, tmp_path):
         path = tmp_path / "nodb.json"
@@ -355,6 +370,27 @@ class TestKeysAndSummary:
 
     def test_missing_file(self, capsys):
         assert main(["summary", "/nonexistent/bundle.json"]) == 2
+
+    def test_summary_needs_no_networkx(self, bundle_path):
+        """A core install has no networkx (it is the ``analysis``
+        extra), and ``repro summary`` still runs there."""
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        script = (
+            "import sys; sys.modules['networkx'] = None\n"
+            "from repro.cli import main\n"
+            f"raise SystemExit(main(['summary', {bundle_path!r}]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "acyclic with 1 weakly connected component(s)" in done.stdout
 
 
 class TestServeAndCall:

@@ -101,6 +101,22 @@ class TestBundleValidation:
         message = str(excinfo.value)
         assert "'R'" in message and "row 1" in message and "[3]" in message
 
+    @pytest.mark.parametrize("cell", [{"x": 1}, [1, 2]], ids=["object", "array"])
+    def test_database_cell_must_be_a_scalar(self, cell):
+        text = json.dumps(
+            {"schema": {"R": ["A", "B"]}, "database": {"R": [[1, 2], [3, cell]]}}
+        )
+        with pytest.raises(ParseError) as excinfo:
+            bundle_from_json(text)
+        message = str(excinfo.value)
+        assert "'R'" in message and "row 1" in message and repr(cell) in message
+
+    def test_database_scalar_cells_load(self):
+        text = json.dumps({"schema": {"R": ["A", "B", "C", "D"]},
+                           "database": {"R": [["s", 1, 2.5, None]]}})
+        _schema, _deps, db = bundle_from_json(text)
+        assert db.total_tuples() == 1
+
     def test_database_unknown_relation_rejected(self):
         text = json.dumps({"schema": {"R": ["A"]}, "database": {"Q": [[1]]}})
         with pytest.raises(ParseError, match="'Q'"):
